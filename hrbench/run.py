@@ -37,7 +37,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_ROOT = ROOT / ".hrbench-out"
 TRACE_ROOT = ROOT / ".hrbench-trace"
-SETUP_PROBES = 3  # set-up is measured this many times: here and in fresh interpreters
+SETUP_PROBES = 4  # set-up is measured this many times: here and in fresh interpreters
 
 import checks  # noqa: E402  (the benchmark's own modules sit beside this file)
 from spans import Tracer  # noqa: E402

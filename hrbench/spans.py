@@ -3,14 +3,18 @@
 `Tracer.install()` replaces each traced function, wherever a module of the
 package holds a reference to it, by a wrapper that records a span (name,
 start, end, parent).  Nothing under ``src/`` changes; `uninstall()` puts the
-originals back.  Spans opened on worker threads take as parent the span the
-main thread has open, which is the call that started the workers.
+originals back.  The package's thread pools are replaced by a subclass whose
+tasks run inside a ``worker`` span on their own thread, with the span that
+submitted them as parent.
 
 Per-name totals are aggregated as spans close:
 
 * ``time[g]``: time in metric group g, counting only spans with no ancestor
   in the same group, so recursion and nesting inside a group count once;
-* ``self_time[name]``: duration minus the union of the child spans' intervals;
+* ``self_time[name]``: per thread, duration minus the union of the child
+  spans' intervals.  A ``worker`` span adds its own self time to its
+  parent's, and its interval covers the parent while the parent waits, so
+  the work of each thread is counted once and only against its own spans;
 * ``calls[name]`` and free-form ``counts``.
 
 Full span records are kept up to ``keep`` spans and written out at the end.
@@ -25,6 +29,7 @@ import sys
 import threading
 import time
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 
 # (module, attribute, span name, metric group, mode).  A dotted attribute is a
 # method.  Mode "span" records the span; "light" spans, on calls made once per
@@ -97,8 +102,6 @@ class Tracer:
         self.enabled = False
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._main_ident = threading.main_thread().ident
-        self._main_top: _Span | None = None
         self._ids = itertools.count(1)
         self._patched: list[tuple[object, str, object]] = []
 
@@ -111,33 +114,35 @@ class Tracer:
             self._local.stack = []
             return self._local.stack
 
-    def open(self, name: str, group: str | None, record: bool = True) -> _Span | None:
+    def open(self, name: str, group: str | None, record: bool = True,
+             parent: _Span | None = None) -> _Span | None:
         if not self.enabled:
             return None
         st = self._stack()
-        is_main = threading.get_ident() == self._main_ident
-        parent = st[-1] if st else (None if is_main else self._main_top)
+        if st:
+            parent = st[-1]
         span = _Span(next(self._ids), name, group, parent, time.perf_counter(), record)
         st.append(span)
-        if is_main:
-            self._main_top = span
         return span
+
+    def current(self) -> _Span | None:
+        st = self._stack()
+        return st[-1] if st else None
 
     def close(self, span: _Span | None) -> None:
         if span is None:
             return
         end = time.perf_counter()
-        st = self._stack()
-        st.pop()
-        if threading.get_ident() == self._main_ident:
-            self._main_top = st[-1] if st else None
+        self._stack().pop()
         dur = end - span.start
         children = span.children
         covered = _covered(children) if len(children) > 1 else (
             children[0][1] - children[0][0] if children else 0.0)
         with self._lock:
             self.calls[span.name] += 1
-            self.self_time[span.name] += dur - covered
+            # a worker's untraced work belongs to the span that started it
+            owner = span.parent if span.name == "worker" and span.parent else span
+            self.self_time[owner.name] += dur - covered
             if span.group is not None:
                 p = span.parent
                 while p is not None and p.group != span.group:
@@ -183,11 +188,34 @@ class Tracer:
             return result
         return wrapper
 
+    def _executor(self):
+        """ThreadPoolExecutor whose tasks run in a worker span under the submitter."""
+        tracer = self
+
+        def in_worker(parent, fn, *args, **kwargs):
+            span = tracer.open("worker", None, parent=parent) if parent is not None else None
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                tracer.close(span)
+
+        class TracedThreadPoolExecutor(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                return super().submit(in_worker, tracer.current(), fn, *args, **kwargs)
+
+        return TracedThreadPoolExecutor
+
     def install(self, hooks: dict | None = None) -> None:
         """Wrap every TRACED function in every package module that refers to it."""
         hooks = hooks or {}
         modules = [m for k, m in list(sys.modules.items())
                    if k == "hrbounds" or k.startswith("hrbounds.")]
+        pool = self._executor()
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is ThreadPoolExecutor:
+                    self._patched.append((mod, key, value))
+                    setattr(mod, key, pool)
         for modname, attr, name, group, mode in TRACED:
             home = sys.modules[f"hrbounds.{modname}"]
             if "." in attr:

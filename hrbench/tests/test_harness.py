@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ sys.path.insert(0, str(HERE))
 import checks  # noqa: E402
 import reference  # noqa: E402
 import run  # noqa: E402
+from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, Op, _cfg, _classic_repro  # noqa: E402
 
 NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
@@ -182,3 +184,26 @@ def test_slln_checks_fire(cli, workdir):
     s = hr.partial_sums(x)
     s[1_999] += 1e-6
     assert checks.check_replicate_sums(x, s, [200, 2_000]) != []
+
+
+# ---------------------------------------------------------------------------
+# spans
+
+
+def test_worker_self_time_is_counted_per_thread():
+    # One worker spends 0.2 s in a child span, the other 0.2 s in untraced
+    # work of the parent; the child span must not hide the other thread's work.
+    tracer = Tracer()
+    tracer.enabled = True
+
+    def work(traced):
+        span = tracer.open("child", "child") if traced else None
+        time.sleep(0.2)
+        tracer.close(span)
+
+    top = tracer.open("top", None)
+    with tracer._executor()(max_workers=2) as pool:
+        list(pool.map(work, [True, False]))
+    tracer.close(top)
+    assert 0.19 <= tracer.self_time["top"] <= 0.3
+    assert tracer.time["child"] >= 0.19 and "worker" not in tracer.self_time
