@@ -182,12 +182,12 @@ def slln_extra_checks(hr, cli, op: Op, out: Path, workdir: Path, first: bool,
     x = hr.sample_iid(spec, hr.SeedSpec(cfg["master_seed"], 0))
     problems = checks.check_replicate_sums(x, hr.partial_sums(x), cfg["checkpoints"])
     if first:
-        rc, dt1, out1 = run_op(cli, op, workdir / "threads1", extra=["--threads", "1"])
-        print(f"hrbench: slln {op.config['scenario']} took {dt * 1e3:.1f} ms at --threads 2, "
-              f"{dt1 * 1e3:.1f} ms at --threads 1", file=sys.stderr)
+        rc, dt2, out2 = run_op(cli, op, workdir / "threads2", extra=["--threads", "2"])
+        print(f"hrbench: slln {op.config['scenario']} took {dt * 1e3:.1f} ms at --threads 1, "
+              f"{dt2 * 1e3:.1f} ms at --threads 2", file=sys.stderr)
         for name in ("slln_checkpoints.csv", "slln_series.json"):
-            if rc != 0 or (out / name).read_bytes() != (out1 / name).read_bytes():
-                problems.append(f"{name} differs between --threads 2 and --threads 1")
+            if rc != 0 or (out / name).read_bytes() != (out2 / name).read_bytes():
+                problems.append(f"{name} differs between --threads 1 and --threads 2")
     return problems
 
 

@@ -136,7 +136,9 @@ def slln_horizon(seed: int, rnd: int) -> list[Op]:
                    weights=_power(beta), replications=SLLN_REPS,
                    master_seed=g.randrange(2 ** 32), checkpoints=SLLN_CHECKPOINTS,
                    series={"alpha": 1.0, "r": r, "c": 1.0})
-        ops.append(Op("slln", cfg, ["--threads", "2"]))
+        # one thread: the host's second vCPU is shared, and at --threads 2 a run
+        # took 0.12 to 0.22 longer or shorter than its neighbours (see README)
+        ops.append(Op("slln", cfg, ["--threads", "1"]))
     return ops
 
 
@@ -186,7 +188,7 @@ def warmup_ops(workload: str) -> list[Op]:
                             params={"alpha": 1.5, "beta": 0.0, "scale": 1.0},
                             weights=_power(2.0), replications=2, master_seed=0,
                             checkpoints=[100, 20_000], series={"alpha": 1.0, "r": 1.0}),
-               ["--threads", "2"]),
+               ["--threads", "1"]),
         ],
         "exact-analytic": [
             Op("enumerate", _cfg("warm", "rademacher", 4, epsilon=1.0, event="max")),
