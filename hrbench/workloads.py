@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 # Replications per Monte Carlo cell.  Per-row seeding makes an operation's cost
 # nearly proportional to the rows it generates, so cells use the fewest
-# replications their checks allow, and a 30-second run holds about ten rounds.
+# replications their checks allow, and a 30-second run holds about twelve rounds.
 REPS = 2_000        # cells with analytic profiles: only bound-versus-probability checks
 EST_REPS = {"rademacher": 4_000, "gaussian": 5_000}  # estimated profiles, see README
-DEMI_REPS = 5_000   # the smallest drift is 15 standard errors from zero
+DEMI_REPS = 5_000   # the smallest drift, mu/sigma = 0.15, is 10.6 standard errors from zero
 DEMI_LEVEL = 0.999999  # family-wise level: one false flag in 10^6 checks
 SLLN_N = 100_000
 SLLN_REPS = 24
@@ -136,8 +136,8 @@ def slln_horizon(seed: int, rnd: int) -> list[Op]:
                    weights=_power(beta), replications=SLLN_REPS,
                    master_seed=g.randrange(2 ** 32), checkpoints=SLLN_CHECKPOINTS,
                    series={"alpha": 1.0, "r": r, "c": 1.0})
-        # one thread: the host's second vCPU is shared, and at --threads 2 a run
-        # took 0.12 to 0.22 longer or shorter than its neighbours (see README)
+        # one thread: the host's second vCPU is shared, and at --threads 2 ten runs
+        # spread by 0.12 to 0.22 of their median (see README)
         ops.append(Op("slln", cfg, ["--threads", "1"]))
     return ops
 
