@@ -40,7 +40,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch
+from .sequences import TrajectoryBatch, resolve_batch
 from .shape_functions import (
     ScaleFunction,
     ShapeFunction,
@@ -258,21 +258,24 @@ def _running_mean_drift(samples: np.ndarray) -> float:
 
 def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
                             n: int | None = None, replications: int = 10_000,
-                            seed: int = 0, threads: int = 1) -> MomentProfile:
+                            seed: int = 0, threads: int = 1,
+                            batch: TrajectoryBatch | None = None) -> MomentProfile:
     """Monte Carlo moment profile with isotonic projection and drift check.
 
     The non-integrability detector compares the half-sample and full-sample
     running means entrywise; relative drift beyond 10% marks the profile as
-    non-integrable, and bound evaluators then refuse it.
+    non-integrable, and bound evaluators then refuse it.  A supplied
+    ``batch`` of the same law is read in place of drawing a new one.
     """
     if replications < 100:
         raise ValidationError("moment estimation needs >= 100 replications")
     target = spec if n is None else spec.with_n(int(n))
-    batch = TrajectoryBatch.generate(target, replications, seed, threads=threads)
+    batch = resolve_batch(target, target.n, replications, seed, threads, batch)
     profile = {}
     drift = 0.0
     adjusted = False
-    for name, paths in (("u", batch.u), ("v", batch.v)):
+    for name, paths in (("u", batch.u[:replications, :target.n]),
+                        ("v", batch.v[:replications, :target.n])):
         values = phi(paths)  # (R, n)
         mean = values.mean(axis=0)
         se = values.std(axis=0, ddof=1) / math.sqrt(replications)
@@ -443,8 +446,8 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
                               sided: str = "abs") -> BoundReport:
     """Two-range second-moment upper bound on the weighted partial-sum maximum.
 
-    value = min(1, eps^{-2} * sum_{j=m+1..n} ex2[j]/b_j^2
-                   + b_m^{-2} * sum_{j=1..m} ex2[j])
+    value = min(1, eps^{-2} * (b_m^{-2} * sum_{j=1..m} ex2[j]
+                               + sum_{j=m+1..n} ex2[j]/b_j^2))
 
     The formula is stated for the one-sided maximum of S_k/b_k; ``sided``
     declares which event the report is checked against (the two-sided form
@@ -465,7 +468,7 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
         raise ValidationError("second moments must be nonnegative")
     b = w.materialize(n)
     terms = np.empty(n, dtype=np.float64)
-    terms[:m] = e[:m] / b[m - 1] ** 2
+    terms[:m] = e[:m] / (epsilon ** 2 * b[m - 1] ** 2)
     terms[m:] = e[m:n] / (epsilon ** 2 * b[m:] ** 2)
     raw = math.fsum(terms)
     payload = event_max_ratio(source, w, m, n, epsilon, sided)

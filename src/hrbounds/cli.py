@@ -17,7 +17,8 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -396,7 +397,31 @@ def _write_json(path: Path, payload: dict) -> None:
 # bound/estimate assembly shared by `bound` and `verify`
 
 
-def _moment_profile(cfg: ExperimentConfig, threads: int) -> MomentProfile:
+class _Draws:
+    """The trajectory batch and moment profile that all kinds of one command share.
+
+    Each is made on first use and then kept, so a command draws its
+    ``replications`` rows from ``SeedSpec(master_seed, r)`` at most once, and
+    kinds that need neither (analytic-profile `bound`, `classic`, `amini`)
+    draw nothing.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, threads: int):
+        self.cfg = cfg
+        self.threads = threads
+
+    @cached_property
+    def batch(self) -> TrajectoryBatch:
+        cfg = self.cfg
+        return TrajectoryBatch.generate(cfg.sequence.with_n(cfg.n), cfg.replications,
+                                        cfg.master_seed, threads=self.threads)
+
+    @cached_property
+    def profile(self) -> MomentProfile:
+        return _moment_profile(self.cfg, self)
+
+
+def _moment_profile(cfg: ExperimentConfig, draws: _Draws) -> MomentProfile:
     spec = cfg.sequence.with_n(cfg.n)
     if cfg.profile in ("auto", "analytic"):
         try:
@@ -405,7 +430,7 @@ def _moment_profile(cfg: ExperimentConfig, threads: int) -> MomentProfile:
             if cfg.profile == "analytic":
                 raise
     return estimate_moment_profile(spec, cfg.shape, replications=cfg.replications,
-                                   seed=cfg.master_seed, threads=threads)
+                                   seed=cfg.master_seed, batch=draws.batch)
 
 
 def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
@@ -414,13 +439,12 @@ def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
     return cfg.epsilon
 
 
-def _compute_bound(kind: str, cfg: ExperimentConfig, threads: int):
+def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
     spec = cfg.sequence.with_n(cfg.n)
     if kind == "theorem1":
-        return bound_theorem1(cfg.shape, cfg.scale, cfg.weights,
-                              _moment_profile(cfg, threads))
+        return bound_theorem1(cfg.shape, cfg.scale, cfg.weights, draws.profile)
     if kind == "rao":
-        mp = _moment_profile(cfg, threads)
+        mp = draws.profile
         return bound_rao(cfg.shape, cfg.scale, cfg.weights, mp.e_phi_u,
                          source=mp.source, process="u")
     sigma, ex2 = _increment_sigma_ex2(spec)
@@ -442,17 +466,15 @@ def _compute_bound(kind: str, cfg: ExperimentConfig, threads: int):
     raise ValidationError(f"unknown bound kind {kind!r}")
 
 
-def _estimate_for(kind: str, cfg: ExperimentConfig, threads: int):
+def _estimate_for(kind: str, cfg: ExperimentConfig, draws: _Draws):
     spec = cfg.sequence.with_n(cfg.n)
     if kind == "theorem1":
         return estimate_event_An(spec, cfg.shape, cfg.scale, cfg.weights, cfg.n,
                                  cfg.replications, cfg.master_seed, cfg.level,
-                                 threads)
+                                 batch=draws.batch)
     if kind == "rao":
-        batch = TrajectoryBatch.generate(spec, cfg.replications, cfg.master_seed,
-                                         threads=threads)
         b = cfg.weights.materialize(cfg.n)
-        inside = np.all(cfg.shape(batch.u) <= cfg.scale(b), axis=1)
+        inside = np.all(cfg.shape(draws.batch.u) <= cfg.scale(b), axis=1)
         payload = event_a_n(spec.law(), cfg.shape, cfg.scale, cfg.weights,
                             cfg.n, process="u")
         return binomial_estimate(int(inside.sum()), cfg.replications, cfg.level,
@@ -461,7 +483,7 @@ def _estimate_for(kind: str, cfg: ExperimentConfig, threads: int):
     sided = "abs" if kind == "amini" else cfg.sided
     return estimate_max_event(spec, cfg.weights, _need_epsilon(cfg, kind), m,
                               cfg.n, cfg.replications, cfg.master_seed, sided,
-                              cfg.level, threads)
+                              cfg.level, batch=draws.batch)
 
 
 def _enumerable(cfg: ExperimentConfig) -> bool:
@@ -495,8 +517,9 @@ def _corrupt(report):
 
 
 def cmd_bound(cfg: ExperimentConfig, out: Path, args) -> int:
+    draws = _Draws(cfg, args.threads)
     for kind in cfg.kinds:
-        report = _compute_bound(kind, cfg, args.threads)
+        report = _compute_bound(kind, cfg, draws)
         path = out / f"bound_{kind}.json"
         _write_json(path, _envelope(cfg, {"report": report.to_dict()}))
         print(f"{kind}: value={_fmt(report.value)} raw={_fmt(report.raw_value)} "
@@ -506,11 +529,12 @@ def cmd_bound(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     code = 0
+    draws = _Draws(cfg, args.threads)
     for kind in cfg.kinds:
-        report = _compute_bound(kind, cfg, args.threads)
+        report = _compute_bound(kind, cfg, draws)
         if args.corrupt_bound:
             report = _corrupt(report)
-        estimate = _estimate_for(kind, cfg, args.threads)
+        estimate = _estimate_for(kind, cfg, draws)
         verdicts = {"monte_carlo": verify_bound(estimate, report)}
         exact_payload = None
         if _enumerable(cfg):

@@ -5,9 +5,9 @@ with u_k = sum_{i<=k} max(X_i, 0) and v_k = sum_{i<=k} max(-X_i, 0).  By
 construction S_k = u_k - v_k, |S_k| <= u_k + v_k, and u, v are
 componentwise nondecreasing, which is what the bounds exploit.
 
-Long prefix sums (n > 10**4) use block-compensated accumulation: plain
-cumsum inside blocks, with the running block offset carried by a
-Neumaier-compensated total of exactly rounded block sums.  Convergence
+Long prefix sums (n > 10**4) use compensated accumulation: the exact
+rounding error of every step of the running sum is recovered with TwoSum,
+and the running total of those errors is added back.  Convergence
 demonstrations run to n = 10**6 where naive accumulation drift could
 otherwise mask the effect being shown.
 """
@@ -15,7 +15,6 @@ otherwise mask the effect being shown.
 from __future__ import annotations
 
 import csv
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,27 +28,34 @@ _BLOCK = 8192
 
 
 def compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Prefix sums with block-compensated carry.
+    """Prefix sums with the rounding error of every step added back.
 
-    Error per entry is O(eps * |S_k|) + O(block * eps * local magnitude),
-    independent of n, versus the O(k * eps)-growth of a naive running sum.
+    Within each block, cumsum gives the running float sums p_k, TwoSum gives
+    the exact error of each step p_k = fl(p_{k-1} + X_k), and the cumsum of
+    those errors corrects p_k.  Error per entry is about eps * |S_k| +
+    (k * eps)^2 * sum_{i<=k} |X_i|, versus the O(k * eps)-growth of a naive
+    running sum.  The float total and the error total carry across blocks.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.size
     out = np.empty(n, dtype=np.float64)
-    offset = 0.0   # compensated total of all preceding blocks
-    err = 0.0      # Neumaier correction for `offset`
+    buf = np.empty(min(n, _BLOCK) + 1, dtype=np.float64)
+    total = 0.0   # float running sum at the end of the previous block
+    carry = 0.0   # running sum of the rounding errors of all steps so far
     for start in range(0, n, _BLOCK):
         seg = x[start:start + _BLOCK]
-        np.cumsum(seg, out=out[start:start + len(seg)])
-        out[start:start + len(seg)] += offset + err
-        total = math.fsum(seg)  # exactly rounded block sum
-        new = offset + total
-        if abs(offset) >= abs(total):
-            err += (offset - new) + total
-        else:
-            err += (total - new) + offset
-        offset = new
+        m = seg.size
+        p = buf[:m + 1]
+        p[0] = total
+        p[1:] = seg
+        np.cumsum(p, out=p)
+        prev, s = p[:-1], p[1:]
+        b = s - prev
+        err = (prev - (s - b)) + (seg - b)   # TwoSum: prev + seg == s + err exactly
+        err[0] += carry
+        np.cumsum(err, out=err)
+        np.add(s, err, out=out[start:start + m])
+        total, carry = float(p[-1]), float(err[-1])
     return out
 
 
@@ -181,3 +187,20 @@ class TrajectoryBatch:
                         format(self.x[r, k], ".17g"), format(self.s[r, k], ".17g"),
                         format(self.u[r, k], ".17g"), format(self.v[r, k], ".17g"),
                     ])
+
+
+def resolve_batch(spec: RandomSequenceSpec, n: int, reps: int, seed: int,
+                  threads: int, batch: TrajectoryBatch | None) -> TrajectoryBatch:
+    """The supplied batch, checked to hold reps x n rows of spec's law, or a new one.
+
+    Callers read ``[:reps, :n]`` of the result, so one batch drawn for a
+    command serves every estimate made from the same law.
+    """
+    if batch is None:
+        return TrajectoryBatch.generate(spec.with_n(n), reps, seed, threads=threads)
+    if batch.spec.law() != spec.law():
+        raise ValidationError("supplied batch was drawn from a different law")
+    if batch.n < n or batch.replications < reps:
+        raise ValidationError(
+            f"supplied batch is {batch.replications}x{batch.n}, need {reps}x{n}")
+    return batch

@@ -29,7 +29,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch, partial_sums
+from .sequences import TrajectoryBatch, partial_sums, resolve_batch
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 
 _ENUM_STATE_CAP = 2 ** 20
@@ -117,18 +117,6 @@ def binomial_estimate(successes: int, replications: int, level: float = 0.99,
 # event probability estimation
 
 
-def _resolve_batch(spec: RandomSequenceSpec, n: int, reps: int, seed: int,
-                   threads: int, batch: TrajectoryBatch | None) -> TrajectoryBatch:
-    if batch is None:
-        return TrajectoryBatch.generate(spec.with_n(n), reps, seed, threads=threads)
-    if batch.spec.law() != spec.law():
-        raise ValidationError("supplied batch was drawn from a different law")
-    if batch.n < n or batch.replications < reps:
-        raise ValidationError(
-            f"supplied batch is {batch.replications}x{batch.n}, need {reps}x{n}")
-    return batch
-
-
 def _exceeds(max_ratio: np.ndarray, epsilon: float, sided: str) -> np.ndarray:
     # The two-sided event uses >= (the exceedance form the upper bounds
     # constrain); the one-sided event keeps the strict > of the classical
@@ -149,7 +137,7 @@ def estimate_event_An(spec: RandomSequenceSpec, phi: ShapeFunction,
     n = int(spec.n if n is None else n)
     if reps < 1000:
         raise ValidationError("event estimation needs >= 1000 replications")
-    batch = _resolve_batch(spec, n, reps, seed, threads, batch)
+    batch = resolve_batch(spec, n, reps, seed, threads, batch)
     b = w.materialize(n)
     inside = np.all(phi(batch.s[:reps, :n]) <= chi(b), axis=1)
     return binomial_estimate(int(inside.sum()), reps, level,
@@ -170,7 +158,7 @@ def estimate_max_event(spec: RandomSequenceSpec, w: WeightSequence, epsilon: flo
         raise ParameterDomainError("epsilon", "must be > 0")
     if reps < 1000:
         raise ValidationError("event estimation needs >= 1000 replications")
-    batch = _resolve_batch(spec, n, reps, seed, threads, batch)
+    batch = resolve_batch(spec, n, reps, seed, threads, batch)
     b = w.materialize(n)
     s = batch.s[:reps, m - 1:n]
     ratios = (np.abs(s) if sided == "abs" else s) / b[m - 1:n]

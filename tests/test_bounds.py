@@ -26,6 +26,7 @@ from hrbounds.errors import (
     ParameterDomainError,
     ValidationError,
 )
+from hrbounds.sequences import TrajectoryBatch
 from hrbounds.shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 from hrbounds.simulation import enumerate_exact
 
@@ -149,22 +150,31 @@ class TestRao:
 
 
 class TestClassic:
-    def test_worked_example_clamps_at_one(self):
-        # head: 1/b_1^2 = 1, tail: (1/eps^2)(1/4 + 1/9); raw = 1 + 13/144
+    def test_worked_example_is_informative(self):
+        # head: (1/eps^2)(1/b_1^2) = 1/4, tail: (1/eps^2)(1/4 + 1/9) = 13/144;
+        # raw = 49/144
         rep = bound_hajek_renyi_classic([1.0, 1.0, 1.0],
                                         WeightSequence.power(1.0, 3),
                                         m=1, n=3, epsilon=2.0)
-        assert rep.raw_value == pytest.approx(1.0 + 13.0 / 144.0, rel=1e-14)
-        assert rep.value == 1.0
-        assert not rep.informative
+        assert rep.raw_value == pytest.approx(49.0 / 144.0, rel=1e-14)
+        assert rep.value == rep.raw_value
+        assert rep.informative
 
     def test_informative_case(self):
+        # head: (1/4)(1/4) = 1/16, tail: (1/4)(1/16) = 1/64; raw = 5/64
         rep = bound_hajek_renyi_classic([1.0, 1.0],
                                         WeightSequence.custom([2.0, 4.0]),
                                         m=1, n=2, epsilon=2.0)
-        assert rep.raw_value == pytest.approx(1.0 / 4.0 + (1.0 / 4.0) / 16.0,
-                                              rel=1e-14)
+        assert rep.raw_value == pytest.approx(5.0 / 64.0, rel=1e-14)
         assert rep.informative
+
+    def test_head_range_carries_epsilon(self):
+        # One step, eps < 1: E[X^2]/(eps b_1)^2 = 1/(0.5 * 2)^2 = 1, vacuous,
+        # where the head term without eps^-2 gave 1/4 against P = 1.
+        rep = bound_hajek_renyi_classic([1.0], WeightSequence.custom([2.0]),
+                                        m=1, n=1, epsilon=0.5)
+        assert rep.raw_value == pytest.approx(1.0, rel=1e-14)
+        assert not rep.informative
 
     def test_index_and_domain_errors(self):
         w = WeightSequence.power(1.0, 3)
@@ -220,6 +230,28 @@ class TestMomentProfiles:
         mp = estimate_moment_profile(spec, PHI1, replications=200, seed=0)
         assert mp.e_phi_u == (0.0,) * 4 and mp.e_phi_v == (0.0,) * 4
         assert mp.se_u == (0.0,) * 4
+
+    def test_supplied_batch_gives_the_same_profile(self):
+        spec = GAUSS(6)
+        alone = estimate_moment_profile(spec, PHI1, replications=500, seed=4)
+        exact_fit = TrajectoryBatch.generate(spec, 500, 4)
+        more_rows = TrajectoryBatch.generate(spec, 800, 4)
+        assert estimate_moment_profile(spec, PHI1, replications=500, seed=4,
+                                       batch=exact_fit) == alone
+        assert estimate_moment_profile(spec, PHI1, replications=500, seed=4,
+                                       batch=more_rows) == alone
+
+    def test_supplied_batch_is_validated(self):
+        spec = GAUSS(6)
+        other_law = TrajectoryBatch.generate(RandomSequenceSpec("rademacher", 6), 500, 4)
+        with pytest.raises(ValidationError, match="different law"):
+            estimate_moment_profile(spec, PHI1, replications=500, seed=4, batch=other_law)
+        too_few = TrajectoryBatch.generate(spec, 300, 4)
+        with pytest.raises(ValidationError, match="300x6, need 500x6"):
+            estimate_moment_profile(spec, PHI1, replications=500, seed=4, batch=too_few)
+        too_short = TrajectoryBatch.generate(GAUSS(4), 500, 4)
+        with pytest.raises(ValidationError, match="500x4, need 500x6"):
+            estimate_moment_profile(spec, PHI1, replications=500, seed=4, batch=too_short)
 
     def test_point_mass_analytic_any_exponent(self):
         spec = RandomSequenceSpec("point_mass", 3, (("c", -2.0),))

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from hrbounds import cli
 from hrbounds.cli import PRESETS, ExperimentConfig, main, render_json
 from hrbounds.errors import ValidationError
+from hrbounds.sequences import TrajectoryBatch
 
 
 def run(argv, monkeypatch, tmp_path, env_out=None):
@@ -21,6 +23,20 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; return the record."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, staticmethod(counting) if isinstance(owner, type)
+                        else counting)
+    return calls
 
 
 GAUSS_SEQ = {"family": "gaussian", "n": 16, "params": {"mu": 0.0, "sigma": 1.0}}
@@ -112,6 +128,26 @@ def test_bound_heavy_tail_second_moment_errors(tmp_path, monkeypatch, capsys, pr
     assert err["error"] == "NonIntegrabilityError"
 
 
+def test_bound_builds_one_profile_for_all_kinds(tmp_path, monkeypatch):
+    generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
+    profiles = count_calls(monkeypatch, cli, "estimate_moment_profile")
+    cfg = dict(BASE, profile="estimated", kinds=["theorem1", "rao"])
+    code = run(["bound", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    assert len(profiles) == 1 and len(generated) == 1
+
+
+def test_bound_with_analytic_profile_draws_nothing(tmp_path, monkeypatch):
+    generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
+    profiles = count_calls(monkeypatch, cli, "analytic_moment_profile")
+    cfg = dict(BASE, kinds=["theorem1", "rao", "classic", "amini"], epsilon=1.0)
+    code = run(["bound", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    assert len(profiles) == 1 and generated == []
+
+
 def test_bound_kind_flag_overrides_config(tmp_path, monkeypatch):
     code = run(["bound", "--scenario", "rademacher-oracle", "--kind", "rao",
                 "--out", str(tmp_path)], monkeypatch, tmp_path)
@@ -157,6 +193,54 @@ def test_verify_classic_gaussian_epsilon_grid(tmp_path, monkeypatch):
         code = run(["verify", "--config", write_config(tmp_path, cfg),
                     "--out", str(tmp_path)], monkeypatch, tmp_path)
         assert code == 0
+
+
+def test_verify_classic_head_range_regression(tmp_path, monkeypatch):
+    # One step with b_1 = 2 at eps = 0.5: P(|S_1|/b_1 >= eps) = 1, and the
+    # bound must not fall below it.
+    cfg = dict(BASE, sequence={"family": "rademacher", "n": 1},
+               weights={"kind": "custom", "values": [2.0]},
+               epsilon=0.5, kinds=["classic"])
+    code = run(["verify", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    payload = json.loads((tmp_path / "verify_classic.json").read_text())
+    assert payload["exact"]["value"] == 1.0
+    assert "violation" not in payload["verdicts"].values()
+
+
+ESTIMATED_3 = dict(BASE, profile="estimated", kinds=["theorem1", "rao", "amini"],
+                   epsilon=1.0)
+
+
+def test_verify_draws_one_batch_for_all_kinds(tmp_path, monkeypatch):
+    generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
+    code = run(["verify", "--config", write_config(tmp_path, ESTIMATED_3),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    assert len(generated) == 1
+    for kind in ESTIMATED_3["kinds"]:
+        assert (tmp_path / f"verify_{kind}.json").exists()
+
+
+def _without_config_digest(path):
+    # `kinds` is part of the config, so a single-kind run has its own digest.
+    return [line for line in path.read_bytes().splitlines()
+            if not line.lstrip().startswith(b'"config_digest"')]
+
+
+def test_verify_multi_kind_matches_single_kind_runs(tmp_path, monkeypatch):
+    config = write_config(tmp_path, ESTIMATED_3)
+    together = tmp_path / "together"
+    assert run(["verify", "--config", config, "--out", str(together)],
+               monkeypatch, tmp_path) == 0
+    for kind in ESTIMATED_3["kinds"]:
+        alone = tmp_path / kind
+        assert run(["verify", "--config", config, "--kind", kind, "--out", str(alone)],
+                   monkeypatch, tmp_path) == 0
+        name = f"verify_{kind}.json"
+        assert _without_config_digest(together / name) == \
+            _without_config_digest(alone / name)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid
 from hrbounds.errors import DataError, ValidationError
@@ -72,6 +72,8 @@ def test_trajectory_validate_catches_tampering():
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=60))
 @settings(max_examples=150)
+# A small term against a large running total, lost by a plain in-block cumsum.
+@example(xs=[98904205303.0, -861868084282.0, 6.103515625e-05, 747705089997.0])
 def test_compensated_cumsum_matches_exact_rationals(xs):
     # Fraction arithmetic is the oracle: exact prefix sums, then one rounding.
     got = compensated_cumsum(np.asarray(xs, dtype=np.float64))
@@ -84,8 +86,8 @@ def test_compensated_cumsum_matches_exact_rationals(xs):
 
 
 def test_compensated_cumsum_beats_naive_drift_on_long_arrays():
-    # Compensation is blockwise: plain cumsum inside an 8192 block, exact
-    # block totals carried across blocks.  The payoff is on long horizons.
+    # Every step's rounding error is added back, across 8192-entry blocks.
+    # The payoff is on long horizons.
     import math
 
     x = np.full(1_000_000, 0.1)
