@@ -36,7 +36,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import Trajectory, TrajectoryBatch, decompose, partial_sums
+from .sequences import TrajectoryBatch, decompose, partial_sums
 from .shape_functions import (
     ScaleFunction,
     ShapeFunction,
@@ -58,7 +58,7 @@ from .simulation import (
     verify_bound,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BOUND_KINDS",
@@ -87,7 +87,6 @@ __all__ = [
     "NonIntegrabilityError",
     "ParameterDomainError",
     "ValidationError",
-    "Trajectory",
     "TrajectoryBatch",
     "decompose",
     "partial_sums",

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import isotonic_regression
-from scipy.stats import norm
 
 from ._digest import digest_of, event_a_n, event_max_ratio
 from .distributions import RandomSequenceSpec
@@ -170,11 +168,19 @@ def _sided_increment_moments(spec: RandomSequenceSpec) -> tuple[float, float, fl
     raise AnalyticProfileUnavailable(f"no sided-moment table for family {spec.family!r}")
 
 
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _normal_pdf(z: float) -> float:
+    return math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+
+
 def _gaussian_sided(mu: float, sigma: float) -> tuple[float, float, float, float]:
     def one_side(m: float) -> tuple[float, float]:
         z = m / sigma
-        mean = m * norm.cdf(z) + sigma * norm.pdf(z)
-        second = (m * m + sigma * sigma) * norm.cdf(z) + m * sigma * norm.pdf(z)
+        mean = m * _normal_cdf(z) + sigma * _normal_pdf(z)
+        second = (m * m + sigma * sigma) * _normal_cdf(z) + m * sigma * _normal_pdf(z)
         return mean, second
 
     mp, sp = one_side(mu)
@@ -246,6 +252,25 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     )
 
 
+def _pava(y) -> np.ndarray:
+    """Nondecreasing least-squares fit with equal weights (pool adjacent violators).
+
+    Each block keeps its sum and size; a new entry merges with the blocks
+    before it while their mean exceeds its own.  Robertson, Wright and
+    Dykstra, *Order Restricted Statistical Inference* (1988), ch. 1.
+    """
+    sums: list[float] = []
+    sizes: list[int] = []
+    for value in y:
+        s, c = float(value), 1
+        while sums and sums[-1] / sizes[-1] > s / c:
+            s += sums.pop()
+            c += sizes.pop()
+        sums.append(s)
+        sizes.append(c)
+    return np.repeat(np.divide(sums, sizes), sizes)
+
+
 def _running_mean_drift(samples: np.ndarray) -> float:
     """Max over k of the relative change between half- and full-sample means."""
     half = samples[: samples.shape[0] // 2].mean(axis=0)
@@ -280,7 +305,7 @@ def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
         mean = values.mean(axis=0)
         se = values.std(axis=0, ddof=1) / math.sqrt(replications)
         drift = max(drift, _running_mean_drift(values))
-        projected = isotonic_regression(mean).x
+        projected = _pava(mean)
         adjusted = adjusted or bool(np.any(np.abs(projected - mean) > 2.0 * se))
         profile[name] = (projected, se)
     sigma, ex2 = _increment_sigma_ex2(target)

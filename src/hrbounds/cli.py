@@ -2,10 +2,12 @@
 
 One experiment is one JSON config (or a named built-in scenario).  Commands
 write JSON/CSV reports into an output directory and print a short summary;
-every output file embeds the effective config digest and master seed, and
-contains no timestamps, so identical inputs give byte-identical files.
+every output file embeds the effective config digest, master seed and
+package version, and contains no timestamps, so identical inputs give
+byte-identical files.
 
-Exit codes: 0 success (including vacuous bounds), 1 invalid input or a
+Exit codes: 0 success (including vacuous bounds), 1 invalid input (a
+malformed config field, or numbers out of the float range) or a
 hypothesis/integrability error (with a machine-readable error JSON on
 stdout), 2 a verification violation or demi-check flags.
 """
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from ._digest import digest_of, event_a_n
 from .bounds import (
     MomentProfile,
@@ -54,6 +57,11 @@ from .simulation import (
 )
 
 SHORT_KINDS = ("theorem1", "rao", "classic", "amini")
+
+# Largest horizon and replication count.  A replications x n float64 array
+# then stays below numpy's 2^63-byte limit, so a request too large for the
+# host fails as MemoryError (exit 1) rather than inside numpy's size checks.
+_MAX_SIZE = 2 ** 28
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +119,68 @@ def _check_keys(d: dict, allowed: set, ctx: str) -> None:
         raise ValidationError(f"{ctx}: unknown fields {unknown}")
 
 
-def _require(d: dict, key: str, ctx: str):
+_MISSING = object()
+_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "an array", tuple: "an array", dict: "an object"}
+
+
+def _expected(path: str, want: str, value) -> ValidationError:
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    return ValidationError(f"{path}: expected {want}, got {got}")
+
+
+def _obj(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise _expected(path, "an object", value)
+    return value
+
+
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise _expected(path, "a string", value)
+    return value
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected(path, "an integer", value)
+    return value
+
+
+def _float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _expected(path, "a number", value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{path}: expected a finite number, got {x!r}")
+    return x
+
+
+def _list_of(check):
+    def checked(value, path: str) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise _expected(path, "an array", value)
+        return [check(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return checked
+
+
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _field(d: dict, key: str, check, ctx: str = "config", default=_MISSING):
+    """``d[key]`` passed through ``check``, whose errors name the field's path.
+
+    An absent key gives ``default`` as it is, or an error when there is none.
+    """
     if key not in d:
-        raise ValidationError(f"{ctx}: missing required field {key!r}")
-    return d[key]
+        if default is _MISSING:
+            raise ValidationError(f"{ctx}: missing required field {key!r}")
+        return default
+    return check(d[key], key if ctx == "config" else f"{ctx}.{key}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +212,10 @@ class ExperimentConfig:
         if self.n != self.sequence.n:
             raise ValidationError(
                 f"horizon n={self.n} disagrees with sequence n={self.sequence.n}")
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+        if self.n > _MAX_SIZE:
+            raise ValidationError(f"n must be <= {_MAX_SIZE}")
+        if not 1 <= self.replications <= _MAX_SIZE:
+            raise ValidationError(f"replications must be in [1, {_MAX_SIZE}]")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValidationError("epsilon must be > 0")
         if self.m < 1:
@@ -173,75 +241,70 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValidationError("config must be a JSON object")
-        _check_keys(d, _TOP_KEYS, "config")
+        """Build a config from its JSON form, checking the type of every field."""
+        _check_keys(_obj(d, "config"), _TOP_KEYS, "config")
 
-        seq = _require(d, "sequence", "config")
+        seq = _field(d, "sequence", _obj)
         _check_keys(seq, {"family", "n", "params", "dependence"}, "sequence")
-        params = seq.get("params", {})
-        if not isinstance(params, dict):
-            raise ValidationError("sequence: params must be an object")
+        params = _field(seq, "params", _obj, "sequence", {})
         sequence = RandomSequenceSpec(
-            str(_require(seq, "family", "sequence")),
-            int(_require(seq, "n", "sequence")),
-            tuple(sorted((str(k), float(v)) for k, v in params.items())),
-            str(seq.get("dependence", "iid")))
+            _field(seq, "family", _str, "sequence"),
+            _field(seq, "n", _int, "sequence"),
+            tuple(sorted((str(k), _float(v, f"sequence.params.{k}"))
+                         for k, v in params.items())),
+            _field(seq, "dependence", _str, "sequence", "iid"))
 
-        sh = _require(d, "shape", "config")
+        sh = _field(d, "shape", _obj)
         _check_keys(sh, {"kind", "exponent"}, "shape")
-        shape = ShapeFunction(str(_require(sh, "kind", "shape")),
-                              float(_require(sh, "exponent", "shape")))
+        shape = ShapeFunction(_field(sh, "kind", _str, "shape"),
+                              _field(sh, "exponent", _float, "shape"))
 
-        sc = _require(d, "scale", "config")
+        sc = _field(d, "scale", _obj)
         _check_keys(sc, {"kind", "epsilon", "rho"}, "scale")
-        scale = ScaleFunction(str(_require(sc, "kind", "scale")),
-                              float(_require(sc, "epsilon", "scale")),
-                              float(sc.get("rho", 1.0)))
+        scale = ScaleFunction(_field(sc, "kind", _str, "scale"),
+                              _field(sc, "epsilon", _float, "scale"),
+                              _field(sc, "rho", _float, "scale", 1.0))
 
-        n = int(d.get("n", sequence.n))
-        wd = _require(d, "weights", "config")
+        n = _field(d, "n", _int, default=sequence.n)
+        wd = _field(d, "weights", _obj)
         _check_keys(wd, {"kind", "beta", "values"}, "weights")
-        wkind = str(_require(wd, "kind", "weights"))
+        wkind = _field(wd, "kind", _str, "weights")
         if wkind == "custom":
-            weights = WeightSequence.custom([float(v) for v in _require(wd, "values", "weights")])
+            weights = WeightSequence.custom(_field(wd, "values", _list_of(_float), "weights"))
         elif wkind == "power":
-            weights = WeightSequence.power(float(wd.get("beta", 1.0)), n)
+            weights = WeightSequence.power(_field(wd, "beta", _float, "weights", 1.0), n)
         elif wkind == "log":
             weights = WeightSequence.log(n)
         else:
             raise ValidationError(f"weights: unknown kind {wkind!r}")
 
-        series = d.get("series")
+        series = _field(d, "series", _optional(_obj), default=None)
         if series is not None:
             _check_keys(series, {"alpha", "r", "c"}, "series")
-            alpha = series["alpha"] if "alpha" in series else 1.0
-            alpha = [float(a) for a in alpha] if isinstance(alpha, list) else float(alpha)
-            series = {"alpha": alpha, "r": float(_require(series, "r", "series")),
-                      "c": float(series.get("c", 1.0))}
+            alpha = series.get("alpha", 1.0)
+            alpha = (_list_of(_float) if isinstance(alpha, list) else _float)(
+                alpha, "series.alpha")
+            series = {"alpha": alpha, "r": _field(series, "r", _float, "series"),
+                      "c": _field(series, "c", _float, "series", 1.0)}
 
-        checkpoints = d.get("checkpoints")
-        if checkpoints is not None:
-            checkpoints = tuple(int(k) for k in checkpoints)
-
-        epsilon = d.get("epsilon")
+        checkpoints = _field(d, "checkpoints", _optional(_list_of(_int)), default=None)
         return cls(
-            scenario=str(_require(d, "scenario", "config")),
+            scenario=_field(d, "scenario", _str),
             sequence=sequence, shape=shape, scale=scale, weights=weights, n=n,
-            replications=int(d.get("replications", 10_000)),
-            master_seed=int(d.get("master_seed", 0)),
-            epsilon=None if epsilon is None else float(epsilon),
-            m=int(d.get("m", 1)),
-            sided=str(d.get("sided", "abs")),
-            kinds=tuple(str(k) for k in d.get("kinds", ["theorem1"])),
-            profile=str(d.get("profile", "auto")),
-            checkpoints=checkpoints,
+            replications=_field(d, "replications", _int, default=10_000),
+            master_seed=_field(d, "master_seed", _int, default=0),
+            epsilon=_field(d, "epsilon", _optional(_float), default=None),
+            m=_field(d, "m", _int, default=1),
+            sided=_field(d, "sided", _str, default="abs"),
+            kinds=tuple(_field(d, "kinds", _list_of(_str), default=["theorem1"])),
+            profile=_field(d, "profile", _str, default="auto"),
+            checkpoints=None if checkpoints is None else tuple(checkpoints),
             series=series,
-            process=str(d.get("process", "S")),
-            family=tuple(str(g) for g in d.get("family", DEFAULT_DEMI_FAMILY)),
-            level=float(d.get("level", 0.99)),
-            event=str(d.get("event", "A_n")),
-            out_dir=None if d.get("out_dir") is None else str(d["out_dir"]),
+            process=_field(d, "process", _str, default="S"),
+            family=tuple(_field(d, "family", _list_of(_str), default=DEFAULT_DEMI_FAMILY)),
+            level=_field(d, "level", _float, default=0.99),
+            event=_field(d, "event", _str, default="A_n"),
+            out_dir=_field(d, "out_dir", _optional(_str), default=None),
         )
 
     def to_dict(self) -> dict:
@@ -385,6 +448,7 @@ def _envelope(cfg: ExperimentConfig, payload: dict) -> dict:
         "scenario": cfg.scenario,
         "master_seed": cfg.master_seed,
         "config_digest": digest_of(cfg.to_dict()),
+        "hrbounds_version": __version__,
         **payload,
     }
 
@@ -669,7 +733,7 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         out = resolve_out_dir(args, cfg)
         return _DISPATCH[args.command](cfg, out, args)
-    except (HRBoundsError, IndexError) as exc:
+    except (HRBoundsError, IndexError, ArithmeticError, MemoryError) as exc:
         print(render_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 

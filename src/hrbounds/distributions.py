@@ -131,34 +131,6 @@ class RandomSequenceSpec:
     def with_n(self, n: int) -> "RandomSequenceSpec":
         return RandomSequenceSpec(self.family, n, self.params, self.dependence)
 
-    @property
-    def mean(self) -> float | None:
-        """Analytic mean of one increment, or None when it does not exist."""
-        p = self.param_dict()
-        if self.family == "rademacher":
-            return 0.0
-        if self.family == "gaussian":
-            return p["mu"]
-        if self.family == "centered_exponential":
-            return 0.0
-        if self.family == "point_mass":
-            return p["c"]
-        # alpha_stable, location 0: the mean exists iff alpha > 1 and is 0
-        return 0.0 if p["alpha"] > 1 else None
-
-    @property
-    def is_symmetric(self) -> bool:
-        p = self.param_dict()
-        if self.family == "rademacher":
-            return True
-        if self.family == "gaussian":
-            return p["mu"] == 0.0
-        if self.family == "alpha_stable":
-            return p["beta"] == 0.0
-        if self.family == "point_mass":
-            return p["c"] == 0.0
-        return False
-
     def descriptor(self) -> dict:
         """Canonical plain-dict form, used for digests and serialization."""
         return {

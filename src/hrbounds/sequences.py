@@ -14,7 +14,6 @@ otherwise mask the effect being shown.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -89,37 +88,6 @@ def decompose(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One realized path: increments plus the three derived prefix sums."""
-
-    x: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def from_increments(cls, x) -> "Trajectory":
-        x = _check_finite(x)
-        u, v = decompose(x)
-        return cls(x=x, s=partial_sums(x), u=u, v=v)
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def validate(self) -> None:
-        """Assert the construction invariants (used by tests and debugging)."""
-        k = np.arange(1, self.n + 1, dtype=np.float64)
-        tol = 1e-12 * k * max(1.0, float(np.max(np.abs(self.x))))
-        if np.any(np.abs((self.u - self.v) - self.s) > tol):
-            raise ValidationError("u - v does not reconstruct the partial sums")
-        if np.any(self.s > self.u + self.v + tol) or np.any(np.abs(self.s) > self.u + self.v + tol):
-            raise ValidationError("domination |s| <= u + v violated")
-        if np.any(np.diff(self.u) < 0) or np.any(np.diff(self.v) < 0):
-            raise ValidationError("u or v not nondecreasing")
-
-
-@dataclass(frozen=True)
 class TrajectoryBatch:
     """R independent trajectories, row r drawn from SeedSpec(master_seed, r).
 
@@ -171,22 +139,6 @@ class TrajectoryBatch:
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-    def seed_for(self, replicate: int) -> SeedSpec:
-        return SeedSpec(self.master_seed, replicate)
-
-    def to_csv(self, path) -> None:
-        """Write the long-format table: replicate, k, x, s, u, v."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "k", "x", "s", "u", "v"])
-            for r in range(self.replications):
-                for k in range(self.n):
-                    writer.writerow([
-                        r, k + 1,
-                        format(self.x[r, k], ".17g"), format(self.s[r, k], ".17g"),
-                        format(self.u[r, k], ".17g"), format(self.v[r, k], ".17g"),
-                    ])
 
 
 def resolve_batch(spec: RandomSequenceSpec, n: int, reps: int, seed: int,

@@ -14,10 +14,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
-from scipy.stats import norm
 
 from ._digest import digest_of, event_a_n, event_max_ratio
 from .bounds import BoundReport
@@ -42,6 +41,15 @@ DEFAULT_DEMI_FAMILY = ("const", "coordinate", "running_max",
 
 # ---------------------------------------------------------------------------
 # binomial estimates
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile; p rounded to 0 or 1 maps to -inf or inf."""
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -94,13 +102,14 @@ def binomial_estimate(successes: int, replications: int, level: float = 0.99,
     alpha = 1.0 - level
     p = successes / replications
     if successes == 0 or successes == replications:
-        lo = 0.0 if successes == 0 else float(
-            _beta_dist.ppf(alpha / 2.0, successes, replications - successes + 1))
-        hi = 1.0 if successes == replications else float(
-            _beta_dist.isf(alpha / 2.0, successes + 1, replications - successes))
+        # Clopper-Pearson in closed form: (alpha/2)^(1/R) at R successes and
+        # 1 minus it at none; expm1 keeps the latter exact near 0 for large R.
+        root = math.log(alpha / 2.0) / replications
+        lo = 0.0 if successes == 0 else math.exp(root)
+        hi = 1.0 if successes == replications else -math.expm1(root)
         method = "exact_clopper_pearson"
     else:
-        z = float(norm.ppf(1.0 - alpha / 2.0))
+        z = _normal_quantile(1.0 - alpha / 2.0)
         denom = 1.0 + z * z / replications
         center = (p + z * z / (2.0 * replications)) / denom
         half = z * math.sqrt(p * (1.0 - p) / replications
@@ -369,7 +378,7 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     c = float(np.quantile(np.abs(T), 0.999))
     running_max = np.maximum.accumulate(T, axis=1)
     n_tests = (n - 1) * len(family)
-    z = float(norm.ppf(1.0 - (1.0 - level) / n_tests))
+    z = _normal_quantile(1.0 - (1.0 - level) / n_tests)
 
     records = []
     for j in range(1, n):  # margin between T_j and T_{j+1}, 1-based

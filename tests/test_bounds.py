@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hrbounds.bounds import (
     MomentProfile,
+    _pava,
     SLLNSeriesSpec,
     analytic_moment_profile,
     bound_amini,
@@ -307,6 +308,17 @@ class TestMomentProfiles:
         mp = estimate_moment_profile(STABLE15(16), PHI1, replications=500, seed=4)
         assert all(b >= a - 1e-12 for a, b in zip(mp.e_phi_u, mp.e_phi_u[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(mp.e_phi_v, mp.e_phi_v[1:]))
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
+    @settings(max_examples=200)
+    def test_pava_is_a_nondecreasing_projection(self, ys):
+        y = np.asarray(ys)
+        fit = _pava(y)
+        assert fit.shape == y.shape and np.all(np.diff(fit) >= 0)
+        np.testing.assert_array_equal(_pava(np.sort(y)), np.sort(y))
+        # pooling moves mass between entries but keeps the total
+        tol = 2.0 * y.size * np.finfo(float).eps * math.fsum(np.abs(y))
+        assert abs(math.fsum(fit) - math.fsum(y)) <= tol
 
     def test_replication_floor(self):
         with pytest.raises(ValidationError):

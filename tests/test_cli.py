@@ -1,11 +1,15 @@
 """Command line contract: configs, exit codes, file outputs, reproducibility."""
 
+import copy
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import hrbounds
 from hrbounds import cli
 from hrbounds.cli import PRESETS, ExperimentConfig, main, render_json
 from hrbounds.errors import ValidationError
@@ -83,6 +87,100 @@ def test_horizon_must_match_sequence():
         ExperimentConfig.from_dict(dict(BASE, n=4))
 
 
+@pytest.mark.parametrize("path, value, error, message", [
+    (("sequence", "n"), "abc", "ValidationError", "sequence.n: expected an integer"),
+    (("sequence", "params", "sigma"), None, "ValidationError",
+     "sequence.params.sigma: expected a number, got null"),
+    (("epsilon",), float("nan"), "ValidationError", "epsilon: expected a finite number"),
+    (("checkpoints",), 5, "ValidationError", "checkpoints: expected an array"),
+    (("weights",), {"kind": "custom", "values": [1.0, "2"]}, "ValidationError",
+     "weights.values[1]: expected a number, got a string"),
+    (("sequence", "params", "sigma"), 1e308, "OverflowError", ""),
+    (("replications",), 2 ** 64, "ValidationError", "replications must be in"),
+])
+def test_malformed_config_exits_1_with_json_error(tmp_path, monkeypatch, capsys,
+                                                   path, value, error, message):
+    cfg = copy.deepcopy(dict(BASE, epsilon=1.0, kinds=["theorem1", "classic"]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code = run(["verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)],
+               monkeypatch, tmp_path)
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == error and err["message"].startswith(message)
+
+
+# Mutations of a small valid config: values of every JSON type, including
+# non-finite and out-of-range numbers, set at existing or optional fields.
+# Integers stay small apart from 10**400, which the size limit rejects: a
+# mutated n or replications within the limit is really allocated.
+MUTABLE_BASE = {
+    "scenario": "mutated",
+    "sequence": {"family": "point_mass", "n": 20, "params": {}},
+    "shape": {"kind": "abs_power", "exponent": 1.0},
+    "scale": {"kind": "linear", "epsilon": 2.0},
+    "weights": {"kind": "power", "beta": 1.0},
+    "replications": 1000,
+    "master_seed": 3,
+    "epsilon": 1.0,
+    "kinds": ["theorem1", "rao", "classic", "amini"],
+    "checkpoints": [10, 20],
+    "series": {"alpha": 1.0, "r": 1.0},
+}
+PATHS = [("scenario",), ("sequence",), ("sequence", "family"), ("sequence", "n"),
+         ("sequence", "params"), ("sequence", "params", "mu"), ("sequence", "params", "sigma"),
+         ("sequence", "params", "lam"), ("sequence", "params", "c"), ("sequence", "dependence"),
+         ("shape",), ("shape", "kind"), ("shape", "exponent"), ("scale",), ("scale", "epsilon"),
+         ("scale", "rho"), ("weights",), ("weights", "kind"), ("weights", "beta"),
+         ("weights", "values"), ("n",), ("replications",), ("master_seed",), ("epsilon",),
+         ("m",), ("sided",), ("kinds",), ("profile",), ("checkpoints",), ("series",),
+         ("series", "alpha"), ("series", "r"), ("series", "c"), ("process",), ("family",),
+         ("level",), ("event",), ("out_dir",)]
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2, max_value=40),
+    st.just(10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "abc", "gaussian", "centered_exponential", "alpha_stable",
+                     "point_mass", "custom", "log", "power", "u", "max", "upper",
+                     "estimated", "analytic", "rao", "const"]),
+    st.lists(st.one_of(st.integers(min_value=-1, max_value=5),
+                       st.floats(min_value=-10, max_value=10)), max_size=5),
+    st.builds(dict),
+)
+
+
+def _mutated(mutations):
+    cfg = copy.deepcopy(MUTABLE_BASE)
+    for path, value, delete in mutations:
+        node = cfg
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        if delete:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    return cfg
+
+
+@given(command=st.sampled_from(sorted(cli._DISPATCH)),
+       mutations=st.lists(st.tuples(st.sampled_from(PATHS), VALUES, st.booleans()),
+                          min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_configs_end_in_an_exit_code(monkeypatch, capsys, command, mutations):
+    monkeypatch.delenv("HRBOUNDS_OUT", raising=False)
+    with tempfile.TemporaryDirectory() as out:
+        config = f"{out}/config.json"
+        with open(config, "w") as fh:
+            json.dump(_mutated(mutations), fh)
+        assert main([command, "--config", config, "--out", out]) in (0, 1, 2)
+    capsys.readouterr()
+
+
 def test_render_json_uses_17_digits_and_rejects_nan():
     assert render_json(0.1) == "0.10000000000000001"
     with pytest.raises(ValidationError):
@@ -102,6 +200,7 @@ def test_bound_preset_pinned_value(tmp_path, monkeypatch, capsys):
     assert payload["report"]["value"] == pytest.approx(0.7, abs=1e-15)
     assert "0.69999999999999996" in (tmp_path / "bound_theorem1.json").read_text()
     assert "config_digest" in payload and "master_seed" in payload
+    assert payload["hrbounds_version"] == hrbounds.__version__
 
 
 def test_bound_amini_zero_dispersion(tmp_path, monkeypatch):
@@ -345,6 +444,15 @@ def test_seed_override_changes_digest(tmp_path, monkeypatch):
     db = json.loads((b / "bound_theorem1.json").read_text())
     assert da["config_digest"] != db["config_digest"]
     assert db["master_seed"] == 99
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hrbounds.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point(tmp_path):

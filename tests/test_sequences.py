@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid
 from hrbounds.errors import DataError, ValidationError
 from hrbounds.sequences import (
-    Trajectory,
     TrajectoryBatch,
     compensated_cumsum,
     decompose,
@@ -54,20 +53,13 @@ def test_reconstruction_and_domination_random_vectors():
     for _ in range(200):
         n = rng.integers(1, 40)
         x = rng.standard_cauchy(n) * 10.0 ** rng.integers(-3, 4)
-        t = Trajectory.from_increments(x)
-        t.validate()
+        s = partial_sums(x)
+        u, v = decompose(x)
         scale = np.max(np.abs(x))
         k = np.arange(1, n + 1)
-        assert np.all(np.abs((t.u - t.v) - t.s) <= 1e-12 * k * scale)
-        assert np.all(np.abs(t.s) <= t.u + t.v + 1e-15)
-        assert np.all(np.diff(t.u) >= 0) and np.all(np.diff(t.v) >= 0)
-
-
-def test_trajectory_validate_catches_tampering():
-    t = Trajectory.from_increments([1.0, 2.0])
-    bad = Trajectory(x=t.x, s=t.s, u=np.array([1.0, 0.5]), v=t.v)
-    with pytest.raises(ValidationError):
-        bad.validate()
+        assert np.all(np.abs((u - v) - s) <= 1e-12 * k * scale)
+        assert np.all(np.abs(s) <= u + v + 1e-15)
+        assert np.all(np.diff(u) >= 0) and np.all(np.diff(v) >= 0)
 
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=60))
@@ -118,19 +110,6 @@ def test_batch_thread_count_does_not_change_values():
     b = TrajectoryBatch.generate(spec, 200, master_seed=9, threads=4)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.s, b.s)
-
-
-def test_batch_csv_export(tmp_path):
-    spec = RandomSequenceSpec("rademacher", 3)
-    batch = TrajectoryBatch.generate(spec, 2, master_seed=0)
-    out = tmp_path / "batch.csv"
-    batch.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "replicate,k,x,s,u,v"
-    assert len(lines) == 1 + 2 * 3
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "1"
-    assert float(first[2]) in (-1.0, 1.0)
 
 
 def test_batch_requires_positive_replications():

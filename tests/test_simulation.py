@@ -1,5 +1,6 @@
 """Monte Carlo estimates, exact enumeration, verdicts, demi margins, SLLN runs."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,18 @@ def test_clopper_pearson_boundaries_closed_form():
     o = binomial_estimate(R, R, level=level)
     assert o.ci_high == 1.0
     assert o.ci_low == pytest.approx((alpha / 2.0) ** (1.0 / R), rel=1e-10)
+
+
+def test_levels_whose_quantile_rounds_to_an_endpoint():
+    # 1 - alpha/2 rounds to 1.0 at the largest level below 1: z is infinite
+    # and the Wilson interval is all of [0, 1]
+    est = binomial_estimate(3, 10, level=math.nextafter(1.0, 0.0))
+    assert (est.method, est.ci_low, est.ci_high) == ("wilson", 0.0, 1.0)
+    # one test at a level that rounds 1 - alpha to 0: z is -inf, and any
+    # margin with a positive standard error is flagged
+    batch = TrajectoryBatch.generate(gaussian(2), 1000, master_seed=0)
+    assert demi_check(batch, "S", family=("const",), level=1e-300).flagged_count == 1
+    assert demi_check(batch, "S", family=("const",), level=0.99).flagged_count == 0
 
 
 def test_estimate_invariants_enforced():
