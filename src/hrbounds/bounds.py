@@ -23,6 +23,7 @@ are refused by the bound evaluators rather than silently used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -129,6 +130,28 @@ class MomentProfile:
         return out
 
 
+# The parameter whose size can push a family's closed-form moments out of the
+# float range; gaussian names the larger of |mu| and sigma.
+_SIZE_PARAM = {"centered_exponential": "lam", "point_mass": "c", "alpha_stable": "scale"}
+
+
+def _in_float_range(moments):
+    """Report float overflow or underflow in a closed-form moment as the parameter's fault."""
+    @functools.wraps(moments)
+    def checked(spec: RandomSequenceSpec):
+        try:
+            return moments(spec)
+        except (OverflowError, ZeroDivisionError):
+            p = spec.param_dict()
+            name = _SIZE_PARAM.get(spec.family) or (
+                "mu" if abs(p["mu"]) > p["sigma"] else "sigma")
+            raise ParameterDomainError(
+                name, f"{p[name]!r} puts the closed-form moments of the "
+                f"{spec.family} law outside the float range") from None
+    return checked
+
+
+@_in_float_range
 def _sided_increment_moments(spec: RandomSequenceSpec) -> tuple[float, float, float, float]:
     """(E[X+], E[(X+)^2], E[X-], E[(X-)^2]) for one increment of the law.
 
@@ -188,6 +211,7 @@ def _gaussian_sided(mu: float, sigma: float) -> tuple[float, float, float, float
     return mp, sp, mm, sm
 
 
+@_in_float_range
 def _increment_sigma_ex2(spec: RandomSequenceSpec) -> tuple[float | None, float | None]:
     """Std and raw second moment of one increment, or (None, None) if infinite."""
     p = spec.param_dict()
@@ -624,10 +648,11 @@ def slln_series_check(s: SLLNSeriesSpec, horizon: int,
     """
     horizon = int(horizon)
     if tail_window is None:
-        tail_window = max(10, horizon // 10)
+        tail_window = min(max(10, horizon // 10), horizon // 2)
     tail_window = int(tail_window)
-    if horizon < 2 * tail_window:
-        raise ValidationError("horizon must be at least twice the tail window")
+    if tail_window < 1 or horizon < 2 * tail_window:
+        raise ValidationError("horizon must be at least twice the tail window, "
+                              "which is at least 1")
     b = s.weights.materialize(horizon)
     if np.any(b <= 0):
         raise ValidationError("weights must be strictly positive")

@@ -465,7 +465,8 @@ class _Draws:
     """The trajectory batch and moment profile that all kinds of one command share.
 
     Each is made on first use and then kept, so a command draws its
-    ``replications`` rows from ``SeedSpec(master_seed, r)`` at most once, and
+    ``replications`` rows, in blocks of ``block_rows(n)`` rows per
+    ``SeedSpec(master_seed, b)`` stream, at most once, and
     kinds that need neither (analytic-profile `bound`, `classic`, `amini`)
     draw nothing.
     """

@@ -5,11 +5,13 @@ The menu spans the regimes the bounds care about: bounded increments
 (centered_exponential), infinite variance (alpha_stable with alpha < 2)
 and the degenerate point mass.
 
-Stream discipline: the stream for ``SeedSpec(master_seed, i)`` is derived
-as ``numpy.random.SeedSequence([master_seed, i])``, i.e. hash-based child
-seeding.  Streams for distinct replicate indices never overlap, so
-replicates can be generated in parallel and in any order with identical
-results.
+Stream discipline: the stream for ``SeedSpec(master_seed, b)`` is derived
+as ``numpy.random.SeedSequence([master_seed, b])``, i.e. hash-based child
+seeding.  One stream feeds one block of rows, drawn in a single vectorised
+call (``sample_iid(spec, seed, rows=m)``); streams for distinct block
+indices never overlap, so blocks can be generated in parallel and in any
+order with identical results.  How rows are grouped into blocks is fixed
+by ``sequences.block_rows``.
 """
 
 from __future__ import annotations
@@ -37,25 +39,25 @@ _U64_MAX = 2**64 - 1
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Addresses one reproducible random stream.
+    """Addresses one reproducible random stream: one block of rows.
 
-    ``(master_seed, replicate_index)`` is mapped to an independent child
-    stream via ``SeedSequence([master_seed, replicate_index])``; different
-    replicate indices under the same master seed give disjoint streams.
+    ``(master_seed, block_index)`` is mapped to an independent child stream
+    via ``SeedSequence([master_seed, block_index])``; different block
+    indices under the same master seed give disjoint streams.
     """
 
     master_seed: int
-    replicate_index: int = 0
+    block_index: int = 0
 
     def __post_init__(self):
         if not 0 <= int(self.master_seed) <= _U64_MAX:
             raise ParameterDomainError("master_seed", "must be a 64-bit unsigned integer")
-        if int(self.replicate_index) < 0:
-            raise ParameterDomainError("replicate_index", "must be non-negative")
+        if int(self.block_index) < 0:
+            raise ParameterDomainError("block_index", "must be non-negative")
 
     def generator(self) -> np.random.Generator:
         """Instantiate the stream this spec addresses."""
-        ss = np.random.SeedSequence([int(self.master_seed), int(self.replicate_index)])
+        ss = np.random.SeedSequence([int(self.master_seed), int(self.block_index)])
         return np.random.default_rng(ss)
 
 
@@ -200,24 +202,27 @@ def stable_sample(alpha: float, beta: float, scale: float, u1, u2):
     return out if out.ndim else float(out)
 
 
-def sample_iid(spec: RandomSequenceSpec, seed: SeedSpec) -> np.ndarray:
-    """Draw the length-n i.i.d. vector described by ``spec``.
+def sample_iid(spec: RandomSequenceSpec, seed: SeedSpec,
+               rows: int | None = None) -> np.ndarray:
+    """Draw the length-n i.i.d. vector described by ``spec``, or ``rows`` of them.
 
-    Bitwise reproducible: identical ``(spec, seed)`` give identical output.
+    With ``rows`` the result is a ``(rows, n)`` array drawn in one call from
+    the one stream; ``rows=1`` gives the 1-D draw as its only row.
+    Bitwise reproducible: identical ``(spec, seed, rows)`` give identical output.
     """
     rng = seed.generator()
-    n = int(spec.n)
+    size = int(spec.n) if rows is None else (int(rows), int(spec.n))
     p = spec.param_dict()
     if spec.family == "rademacher":
-        return (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(np.float64)
+        return (2.0 * rng.integers(0, 2, size=size) - 1.0).astype(np.float64)
     if spec.family == "gaussian":
-        return p["mu"] + p["sigma"] * rng.standard_normal(n)
+        return p["mu"] + p["sigma"] * rng.standard_normal(size)
     if spec.family == "centered_exponential":
-        return rng.exponential(1.0 / p["lam"], size=n) - 1.0 / p["lam"]
+        return rng.exponential(1.0 / p["lam"], size=size) - 1.0 / p["lam"]
     if spec.family == "point_mass":
-        return np.full(n, p["c"], dtype=np.float64)
-    # alpha_stable: two uniform blocks feed the pure CMS transform.
+        return np.full(size, p["c"], dtype=np.float64)
+    # alpha_stable: two uniform arrays feed the pure CMS transform.
     eps = np.finfo(np.float64).eps
-    u1 = np.clip(rng.random(n), eps, 1.0 - eps)
-    u2 = np.clip(rng.random(n), eps, 1.0 - eps)
+    u1 = np.clip(rng.random(size), eps, 1.0 - eps)
+    u2 = np.clip(rng.random(size), eps, 1.0 - eps)
     return np.asarray(stable_sample(p["alpha"], p["beta"], p["scale"], u1, u2))

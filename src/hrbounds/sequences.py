@@ -1,4 +1,4 @@
-"""Partial sums and the positive/negative-part decomposition.
+"""Partial sums, the positive/negative-part decomposition, and row blocks.
 
 For increments X_1..X_n this module produces S_k = sum_{i<=k} X_i together
 with u_k = sum_{i<=k} max(X_i, 0) and v_k = sum_{i<=k} max(-X_i, 0).  By
@@ -10,10 +10,14 @@ rounding error of every step of the running sum is recovered with TwoSum,
 and the running total of those errors is added back.  Convergence
 demonstrations run to n = 10**6 where naive accumulation drift could
 otherwise mask the effect being shown.
+
+Trajectory rows are drawn in blocks: block b holds rows [b*m, (b+1)*m) with
+m = ``block_rows(n)``, and is one vectorised draw from ``SeedSpec(seed, b)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +28,7 @@ from .errors import DataError, ValidationError
 
 _PLAIN_CUMSUM_MAX = 10**4
 _BLOCK = 8192
+_SEED_BLOCK_ENTRIES = 8192
 
 
 def compensated_cumsum(x: np.ndarray) -> np.ndarray:
@@ -87,12 +92,41 @@ def decompose(x) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def block_rows(n: int) -> int:
+    """Rows per seeding block at horizon n: about 8192 entries, at least one row."""
+    return max(1, _SEED_BLOCK_ENTRIES // int(n))
+
+
+def for_each_block(spec: RandomSequenceSpec, rows: int, master_seed: int, threads: int,
+                   take: Callable[[int, np.ndarray], None]) -> None:
+    """Draw rows [0, rows) of spec's law block by block; call take(first_row, block).
+
+    Every block is drawn whole from ``SeedSpec(master_seed, b)`` and the last
+    one is then cut to size, so a batch of R rows is a row-prefix of any larger
+    batch.  Threads take whole blocks, so the rows do not depend on ``threads``;
+    ``take`` may run on several threads at once.
+    """
+    m = block_rows(spec.n)
+
+    def one(b: int) -> None:
+        take(b * m, sample_iid(spec, SeedSpec(master_seed, b), rows=m)[:rows - b * m])
+
+    blocks = range(-(-rows // m))
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, blocks))
+    else:
+        for b in blocks:
+            one(b)
+
+
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """R independent trajectories, row r drawn from SeedSpec(master_seed, r).
+    """R independent trajectories, drawn in blocks of ``block_rows(n)`` rows.
 
-    Rows depend only on their own stream, so generation parallelizes over
-    replicates and the result is identical for any worker count.
+    Row r is row ``r % m`` of ``sample_iid(spec, SeedSpec(master_seed, r // m),
+    rows=m)``.  A row depends on the seed and n, not on the worker count, and
+    a batch of R rows is a row-prefix of any larger batch.
     """
 
     spec: RandomSequenceSpec
@@ -111,16 +145,10 @@ class TrajectoryBatch:
         n = int(spec.n)
         x = np.empty((replications, n), dtype=np.float64)
 
-        def fill(rows: range) -> None:
-            for r in rows:
-                x[r] = sample_iid(spec, SeedSpec(master_seed, r))
+        def fill(first: int, block: np.ndarray) -> None:
+            x[first:first + len(block)] = block
 
-        if threads > 1 and replications > 1:
-            chunks = np.array_split(np.arange(replications), min(threads, replications))
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, [range(c[0], c[-1] + 1) for c in chunks if c.size]))
-        else:
-            fill(range(replications))
+        for_each_block(spec, replications, master_seed, threads, fill)
 
         if n > _PLAIN_CUMSUM_MAX:
             s = np.vstack([compensated_cumsum(row) for row in x])

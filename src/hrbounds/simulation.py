@@ -11,7 +11,6 @@ summaries for almost-sure convergence demonstrations.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
@@ -20,7 +19,7 @@ import numpy as np
 
 from ._digest import digest_of, event_a_n, event_max_ratio
 from .bounds import BoundReport
-from .distributions import RandomSequenceSpec, SeedSpec, sample_iid
+from .distributions import RandomSequenceSpec
 from .errors import (
     DigestMismatchError,
     EnumerationSizeError,
@@ -28,7 +27,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch, partial_sums, resolve_batch
+from .sequences import TrajectoryBatch, for_each_block, partial_sums, resolve_batch
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 
 _ENUM_STATE_CAP = 2 ** 20
@@ -461,8 +460,9 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
                     seed: int = 0, threads: int = 1) -> SLLNTrajectoryReport:
     """Per-checkpoint ratio summaries along independent long trajectories.
 
-    Replicates are streamed one at a time (a 10^5-step path is small, but a
-    full replicate-by-step matrix would not be), so memory stays O(n).
+    Replicates are drawn and summarised block by block, and only the
+    summaries are kept.  Above n = 4096 a block is one row, so a 10^5-step
+    run never holds a replicate-by-step matrix and memory stays O(n).
     """
     n = int(spec.n if n is None else n)
     if not w.is_unbounded:
@@ -477,15 +477,14 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
     if reps < 1:
         raise ValidationError("need at least one replicate")
 
-    target = spec.with_n(n)
     b = w.materialize(n)
     chib = chi(b)
     phi_out = np.empty((reps, len(cps)), dtype=np.float64)
     abs_out = np.empty((reps, len(cps)), dtype=np.float64)
 
-    def run(rows: range) -> None:
-        for r in rows:
-            s = partial_sums(sample_iid(target, SeedSpec(seed, r)))
+    def run(first: int, block: np.ndarray) -> None:
+        for r, x in enumerate(block, start=first):
+            s = partial_sums(x)
             phi_ratio = phi(s) / chib
             abs_ratio = np.abs(s) / b
             for i, k in enumerate(cps):
@@ -493,12 +492,7 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
                 phi_out[r, i] = phi_ratio[lo:k].max()
                 abs_out[r, i] = abs_ratio[lo:k].max()
 
-    if threads > 1 and reps > 1:
-        chunks = np.array_split(np.arange(reps), min(threads, reps))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, [range(c[0], c[-1] + 1) for c in chunks if c.size]))
-    else:
-        run(range(reps))
+    for_each_block(spec.with_n(n), reps, seed, threads, run)
 
     return SLLNTrajectoryReport(
         checkpoints=cps,

@@ -350,6 +350,13 @@ class TestSeriesCheck:
         s = SLLNSeriesSpec(alpha=alpha, r=1.0, weights=WeightSequence.power(1.0, 2000))
         assert slln_series_check(s, horizon=2000).verdict == "inconclusive"
 
+    def test_short_horizons_shrink_the_tail_window(self):
+        s = SLLNSeriesSpec(alpha=1.0, r=2.0, weights=WeightSequence.power(1.0, 100))
+        for horizon, window in ((2, 1), (4, 2), (19, 9), (20, 10), (100, 10)):
+            assert slln_series_check(s, horizon=horizon).tail_window == window
+        with pytest.raises(ValidationError):
+            slln_series_check(s, horizon=1)
+
     def test_spec_validation(self):
         w = WeightSequence.power(1.0, 100)
         with pytest.raises(ValidationError):

@@ -95,8 +95,12 @@ def test_horizon_must_match_sequence():
     (("checkpoints",), 5, "ValidationError", "checkpoints: expected an array"),
     (("weights",), {"kind": "custom", "values": [1.0, "2"]}, "ValidationError",
      "weights.values[1]: expected a number, got a string"),
-    (("sequence", "params", "sigma"), 1e308, "OverflowError", ""),
+    (("sequence", "params", "sigma"), 1e308, "ParameterDomainError",
+     "sigma: 1e+308 puts the closed-form moments of the gaussian law"),
     (("replications",), 2 ** 64, "ValidationError", "replications must be in"),
+    (("sequence",), {"family": "centered_exponential", "n": 16, "params": {"lam": 1e-200}},
+     "ParameterDomainError",
+     "lam: 1e-200 puts the closed-form moments of the centered_exponential law"),
 ])
 def test_malformed_config_exits_1_with_json_error(tmp_path, monkeypatch, capsys,
                                                    path, value, error, message):
@@ -355,6 +359,16 @@ def test_check_demi_exit_codes(tmp_path, monkeypatch):
     assert report["report"]["flagged_count"] > 0
 
 
+def test_check_demi_output_does_not_depend_on_threads(tmp_path, monkeypatch):
+    # 4000 rows of n = 16 are 8 blocks, so both threads draw.
+    cfg = write_config(tmp_path, dict(BASE, replications=4000))
+    outs = [tmp_path / f"threads{t}" for t in (1, 2)]
+    for t, out in zip((1, 2), outs):
+        assert run(["check-demi", "--config", cfg, "--threads", str(t), "--out", str(out)],
+                   monkeypatch, tmp_path) == 0
+    assert (outs[0] / "check_demi.json").read_bytes() == (outs[1] / "check_demi.json").read_bytes()
+
+
 def test_check_demi_positive_part_process(tmp_path, monkeypatch):
     cfg = dict(BASE, process="u")
     code = run(["check-demi", "--config", write_config(tmp_path, cfg),
@@ -382,6 +396,16 @@ def test_slln_point_mass_all_zero(tmp_path, monkeypatch):
     assert len(rows) == 3
     for row in rows[1:]:
         assert float(row.split(",")[2]) == 0.0  # q95 of the shaped ratio
+
+
+def test_slln_short_horizon(tmp_path, monkeypatch):
+    cfg = dict(BASE, sequence={"family": "gaussian", "n": 4, "params": {}}, n=4,
+               replications=50, checkpoints=[2, 4], series={"alpha": 1.0, "r": 2.0})
+    code = run(["slln", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    series = json.loads((tmp_path / "slln_series.json").read_text())
+    assert series["series"]["tail_window"] == 2
 
 
 def test_slln_bounded_weights_rejected(tmp_path, monkeypatch, capsys):

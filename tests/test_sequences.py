@@ -10,6 +10,7 @@ from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid
 from hrbounds.errors import DataError, ValidationError
 from hrbounds.sequences import (
     TrajectoryBatch,
+    block_rows,
     compensated_cumsum,
     decompose,
     partial_sums,
@@ -96,20 +97,54 @@ def test_compensated_cumsum_beats_naive_drift_on_long_arrays():
     assert abs(np.cumsum(y)[-1] - exact_y) > 1e-3
 
 
-def test_batch_rows_match_per_replicate_streams():
-    spec = RandomSequenceSpec("gaussian", 16, (("mu", 0.0), ("sigma", 1.0)))
-    batch = TrajectoryBatch.generate(spec, 8, master_seed=42)
-    for r in range(8):
-        np.testing.assert_array_equal(batch.x[r], sample_iid(spec, SeedSpec(42, r)))
+FAMILY_SPECS = [
+    RandomSequenceSpec.rademacher(16),
+    RandomSequenceSpec.gaussian(16, mu=0.5, sigma=2.0),
+    RandomSequenceSpec.centered_exponential(16, lam=3.0),
+    RandomSequenceSpec.alpha_stable(16, alpha=1.5, beta=0.3),
+    RandomSequenceSpec.point_mass(16, c=-1.25),
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.family)
+def test_batch_rows_come_from_whole_blocks(spec):
+    m = block_rows(spec.n)
+    assert m == 512
+    reps = 2 * m + 77  # the last block is cut short
+    batch = TrajectoryBatch.generate(spec, reps, master_seed=42)
+    blocks = [sample_iid(spec, SeedSpec(42, b), rows=m) for b in range(3)]
+    for r in range(reps):
+        np.testing.assert_array_equal(batch.x[r], blocks[r // m][r % m])
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.family)
+def test_single_row_block_is_the_one_dimensional_draw(spec):
+    # Above n = 4096 a block is one row, so long trajectories keep these streams.
+    assert block_rows(4097) == 1 and block_rows(4096) == 2
+    one = sample_iid(spec, SeedSpec(7, 3))
+    block = sample_iid(spec, SeedSpec(7, 3), rows=1)
+    assert one.shape == (16,) and block.shape == (1, 16)
+    np.testing.assert_array_equal(block[0], one)
+
+
+def test_alpha_stable_batch_is_a_prefix_of_a_larger_one():
+    # The two uniform arrays of a block would shift if the last block were drawn short.
+    spec = RandomSequenceSpec.alpha_stable(32, alpha=1.2, beta=-0.5)
+    small = TrajectoryBatch.generate(spec, 700, master_seed=5)
+    large = TrajectoryBatch.generate(spec, 1700, master_seed=5)
+    np.testing.assert_array_equal(small.x, large.x[:700])
+    np.testing.assert_array_equal(small.s, large.s[:700])
 
 
 def test_batch_thread_count_does_not_change_values():
     spec = RandomSequenceSpec("alpha_stable", 32,
                               (("alpha", 1.5), ("beta", 0.0), ("scale", 1.0)))
-    a = TrajectoryBatch.generate(spec, 200, master_seed=9, threads=1)
-    b = TrajectoryBatch.generate(spec, 200, master_seed=9, threads=4)
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.s, b.s)
+    reps = 2000  # 8 blocks of 256 rows, more than any thread count below
+    a = TrajectoryBatch.generate(spec, reps, master_seed=9, threads=1)
+    for threads in (2, 4):
+        b = TrajectoryBatch.generate(spec, reps, master_seed=9, threads=threads)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.s, b.s)
 
 
 def test_batch_requires_positive_replications():
