@@ -63,7 +63,8 @@ class MomentProfile:
     """Per-index moment data: E[phi(u_k)], E[phi(v_k)], and increment moments.
 
     ``sigma`` (std of one increment) and ``ex2`` (second raw moment) are None
-    when they do not exist for the underlying law; they are never zero-filled.
+    when they do not exist for the underlying law, or when they overflow the
+    float range of a profile that does not use them; they are never zero-filled.
     Estimated profiles carry per-entry standard errors and two flags:
     ``isotonic_adjusted`` (the monotone projection moved some entry by more
     than two standard errors) and ``non_integrable`` (running means failed to
@@ -135,6 +136,14 @@ class MomentProfile:
 _SIZE_PARAM = {"centered_exponential": "lam", "point_mass": "c", "alpha_stable": "scale"}
 
 
+def _out_of_range(spec: RandomSequenceSpec) -> ParameterDomainError:
+    p = spec.param_dict()
+    name = _SIZE_PARAM.get(spec.family) or ("mu" if abs(p["mu"]) > p["sigma"] else "sigma")
+    return ParameterDomainError(
+        name, f"{p[name]!r} puts the closed-form moments of the "
+        f"{spec.family} law outside the float range")
+
+
 def _in_float_range(moments):
     """Report float overflow or underflow in a closed-form moment as the parameter's fault."""
     @functools.wraps(moments)
@@ -142,12 +151,7 @@ def _in_float_range(moments):
         try:
             return moments(spec)
         except (OverflowError, ZeroDivisionError):
-            p = spec.param_dict()
-            name = _SIZE_PARAM.get(spec.family) or (
-                "mu" if abs(p["mu"]) > p["sigma"] else "sigma")
-            raise ParameterDomainError(
-                name, f"{p[name]!r} puts the closed-form moments of the "
-                f"{spec.family} law outside the float range") from None
+            raise _out_of_range(spec) from None
     return checked
 
 
@@ -229,6 +233,7 @@ def _increment_sigma_ex2(spec: RandomSequenceSpec) -> tuple[float | None, float 
     return None, None
 
 
+@np.errstate(over="ignore")  # an entry that overflows is refused by name below
 def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
                             n: int | None = None) -> MomentProfile:
     """Closed-form E[phi(u_k)], E[phi(v_k)] for the shipped law/shape table.
@@ -242,7 +247,12 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     n = int(spec.n if n is None else n)
     if n < 1:
         raise ParameterDomainError("n", "must be >= 1")
-    sigma, ex2 = _increment_sigma_ex2(spec)
+    try:
+        sigma, ex2 = _increment_sigma_ex2(spec)
+    except ParameterDomainError:
+        if phi.exponent == 2.0 and spec.family != "point_mass":
+            raise  # the exponent-2 profile is built from the second moments
+        sigma = ex2 = None
     k = np.arange(1, n + 1, dtype=np.float64)
 
     if spec.family == "point_mass":
@@ -264,6 +274,8 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     else:
         raise AnalyticProfileUnavailable(
             f"no closed form for exponent {phi.exponent} outside point masses")
+    if not (np.all(np.isfinite(e_u)) and np.all(np.isfinite(e_v))):
+        raise _out_of_range(spec)
 
     return MomentProfile(
         n=n,

@@ -46,7 +46,7 @@ from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
-    _ENUM_STATE_CAP,
+    _ENUM_MAX_N,
     binomial_estimate,
     demi_check,
     enumerate_exact,
@@ -554,21 +554,20 @@ def _estimate_for(kind: str, cfg: ExperimentConfig, draws: _Draws):
 def _enumerable(cfg: ExperimentConfig) -> bool:
     family = cfg.sequence.family
     return family == "point_mass" or (
-        family == "rademacher" and 2 ** cfg.n <= _ENUM_STATE_CAP)
+        family == "rademacher" and cfg.n <= _ENUM_MAX_N)
 
 
 def _enumerate_for(kind: str, cfg: ExperimentConfig):
     spec = cfg.sequence.with_n(cfg.n)
     if kind == "theorem1":
         return enumerate_exact(spec, cfg.shape, cfg.scale, cfg.weights, cfg.n, "A_n")
-    if kind == "amini":
-        return enumerate_exact(spec, w=cfg.weights, n=cfg.n, event="max",
-                               epsilon=_need_epsilon(cfg, kind), m=1, sided="abs")
-    if kind == "classic":
-        return enumerate_exact(spec, w=cfg.weights, n=cfg.n, event="max",
-                               epsilon=_need_epsilon(cfg, kind), m=cfg.m,
-                               sided=cfg.sided)
-    return None  # the u-envelope of `rao` is not wired into the enumerator
+    if kind == "rao":
+        return enumerate_exact(spec, cfg.shape, cfg.scale, cfg.weights, cfg.n, "A_n",
+                               process="u")
+    m = 1 if kind == "amini" else cfg.m
+    sided = "abs" if kind == "amini" else cfg.sided
+    return enumerate_exact(spec, w=cfg.weights, n=cfg.n, event="max",
+                           epsilon=_need_epsilon(cfg, kind), m=m, sided=sided)
 
 
 def _corrupt(report):
@@ -604,11 +603,10 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         exact_payload = None
         if _enumerable(cfg):
             exact = _enumerate_for(kind, cfg)
-            if exact is not None:
-                verdicts["exact"] = verify_bound(exact, report)
-                exact_payload = {"numerator": exact.numerator,
-                                 "denominator": exact.denominator,
-                                 "value": float(exact)}
+            verdicts["exact"] = verify_bound(exact, report)
+            exact_payload = {"numerator": exact.numerator,
+                             "denominator": exact.denominator,
+                             "value": float(exact)}
         path = out / f"verify_{kind}.json"
         _write_json(path, _envelope(cfg, {
             "report": report.to_dict(),

