@@ -60,27 +60,20 @@ _DRIFT_LIMIT = 0.10
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """Per-index moment data: E[phi(u_k)], E[phi(v_k)], and increment moments.
+    """Per-index moment data: E[phi(u_k)] and E[phi(v_k)].
 
-    ``sigma`` (std of one increment) and ``ex2`` (second raw moment) are None
-    when they do not exist for the underlying law, or when they overflow the
-    float range of a profile that does not use them; they are never zero-filled.
-    Estimated profiles carry per-entry standard errors and two flags:
-    ``isotonic_adjusted`` (the monotone projection moved some entry by more
-    than two standard errors) and ``non_integrable`` (running means failed to
-    stabilize, so the expectations are not trusted to exist).
+    Estimated profiles carry per-entry standard errors and the flag
+    ``non_integrable`` (running means failed to stabilize, so the expectations
+    are not trusted to exist).
     """
 
     n: int
     e_phi_u: tuple[float, ...]
     e_phi_v: tuple[float, ...]
-    sigma: tuple[float, ...] | None = None
-    ex2: tuple[float, ...] | None = None
     provenance: str = "analytic"
     replications: int | None = None
     se_u: tuple[float, ...] | None = None
     se_v: tuple[float, ...] | None = None
-    isotonic_adjusted: bool = False
     non_integrable: bool = False
     max_rel_drift: float | None = None
     source: dict | None = None  # law descriptor of the increment sequence
@@ -111,25 +104,6 @@ class MomentProfile:
             self.e_phi_v, dtype=np.float64)
         return np.diff(np.concatenate([[0.0], combined]))
 
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "e_phi_u": list(self.e_phi_u),
-            "e_phi_v": list(self.e_phi_v),
-            "sigma": None if self.sigma is None else list(self.sigma),
-            "ex2": None if self.ex2 is None else list(self.ex2),
-            "provenance": self.provenance,
-            "isotonic_adjusted": self.isotonic_adjusted,
-            "non_integrable": self.non_integrable,
-            "source": self.source,
-        }
-        if self.provenance == "estimated":
-            out["replications"] = self.replications
-            out["se_u"] = list(self.se_u)
-            out["se_v"] = list(self.se_v)
-            out["max_rel_drift"] = self.max_rel_drift
-        return out
-
 
 # The parameter whose size can push a family's closed-form moments out of the
 # float range; gaussian names the larger of |mu| and sigma.
@@ -147,51 +121,53 @@ def _out_of_range(spec: RandomSequenceSpec) -> ParameterDomainError:
 def _in_float_range(moments):
     """Report float overflow or underflow in a closed-form moment as the parameter's fault."""
     @functools.wraps(moments)
-    def checked(spec: RandomSequenceSpec):
+    def checked(spec: RandomSequenceSpec, *args, **kwargs):
         try:
-            return moments(spec)
+            return moments(spec, *args, **kwargs)
         except (OverflowError, ZeroDivisionError):
             raise _out_of_range(spec) from None
     return checked
 
 
-@_in_float_range
-def _sided_increment_moments(spec: RandomSequenceSpec) -> tuple[float, float, float, float]:
-    """(E[X+], E[(X+)^2], E[X-], E[(X-)^2]) for one increment of the law.
+def _sided_increment_moments(spec: RandomSequenceSpec, order: int) -> tuple[float, float]:
+    """(E[(X+)^order], E[(X-)^order]) for one increment of the law, order 1 or 2.
 
-    Raises NonIntegrabilityError when a requested moment is analytically
-    infinite, AnalyticProfileUnavailable when no closed form is shipped.
+    Only the requested order is evaluated, so first moments stay available
+    when the second ones leave the float range.  Raises NonIntegrabilityError
+    when a requested moment is analytically infinite,
+    AnalyticProfileUnavailable when no closed form is shipped.
     """
     p = spec.param_dict()
     if spec.family == "rademacher":
-        return 0.5, 0.5, 0.5, 0.5
+        return 0.5, 0.5
     if spec.family == "gaussian":
-        return _gaussian_sided(p["mu"], p["sigma"])
+        return _gaussian_sided(p["mu"], p["sigma"], order)
     if spec.family == "centered_exponential":
         lam = p["lam"]
         # X = E - 1/lam, E ~ Exp(lam): both sided means are 1/(e*lam);
         # E[(X+)^2] = 2/(e*lam^2), E[(X-)^2] = (1 - 2/e)/lam^2.
-        return (math.exp(-1.0) / lam, 2.0 * math.exp(-1.0) / lam ** 2,
-                math.exp(-1.0) / lam, (1.0 - 2.0 * math.exp(-1.0)) / lam ** 2)
-    if spec.family == "point_mass":
-        c = p["c"]
-        cp, cm = max(c, 0.0), max(-c, 0.0)
-        return cp, cp ** 2, cm, cm ** 2
+        if order == 1:
+            return math.exp(-1.0) / lam, math.exp(-1.0) / lam
+        return 2.0 * math.exp(-1.0) / lam ** 2, (1.0 - 2.0 * math.exp(-1.0)) / lam ** 2
     if spec.family == "alpha_stable":
         alpha, beta, scale = p["alpha"], p["beta"], p["scale"]
         if alpha == 2.0:
             # exactly N(0, 2*scale^2)
-            return _gaussian_sided(0.0, math.sqrt(2.0) * scale)
+            return _gaussian_sided(0.0, math.sqrt(2.0) * scale, order)
         if beta != 0.0:
             raise AnalyticProfileUnavailable(
                 "closed-form sided moments are only shipped for symmetric stable laws")
         if alpha <= 1.0:
             raise NonIntegrabilityError(
                 f"E|X| is infinite for a stable law with alpha={alpha} <= 1")
+        if order == 2:
+            raise NonIntegrabilityError(
+                "second moment of the sided increments is infinite; "
+                "the exponent-2 profile does not exist for this law")
         # symmetric, alpha in (1,2): E|X| = (2/pi) Gamma(1 - 1/alpha) * scale,
-        # split evenly between the two sides; second moments are infinite.
+        # split evenly between the two sides.
         half_abs_mean = (1.0 / math.pi) * math.gamma(1.0 - 1.0 / alpha) * scale
-        return half_abs_mean, math.inf, half_abs_mean, math.inf
+        return half_abs_mean, half_abs_mean
     raise AnalyticProfileUnavailable(f"no sided-moment table for family {spec.family!r}")
 
 
@@ -203,16 +179,14 @@ def _normal_pdf(z: float) -> float:
     return math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def _gaussian_sided(mu: float, sigma: float) -> tuple[float, float, float, float]:
-    def one_side(m: float) -> tuple[float, float]:
+def _gaussian_sided(mu: float, sigma: float, order: int) -> tuple[float, float]:
+    def one_side(m: float) -> float:
         z = m / sigma
-        mean = m * _normal_cdf(z) + sigma * _normal_pdf(z)
-        second = (m * m + sigma * sigma) * _normal_cdf(z) + m * sigma * _normal_pdf(z)
-        return mean, second
+        if order == 1:
+            return m * _normal_cdf(z) + sigma * _normal_pdf(z)
+        return (m * m + sigma * sigma) * _normal_cdf(z) + m * sigma * _normal_pdf(z)
 
-    mp, sp = one_side(mu)
-    mm, sm = one_side(-mu)
-    return mp, sp, mm, sm
+    return one_side(mu), one_side(-mu)
 
 
 @_in_float_range
@@ -233,6 +207,7 @@ def _increment_sigma_ex2(spec: RandomSequenceSpec) -> tuple[float | None, float 
     return None, None
 
 
+@_in_float_range
 @np.errstate(over="ignore")  # an entry that overflows is refused by name below
 def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
                             n: int | None = None) -> MomentProfile:
@@ -247,12 +222,6 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     n = int(spec.n if n is None else n)
     if n < 1:
         raise ParameterDomainError("n", "must be >= 1")
-    try:
-        sigma, ex2 = _increment_sigma_ex2(spec)
-    except ParameterDomainError:
-        if phi.exponent == 2.0 and spec.family != "point_mass":
-            raise  # the exponent-2 profile is built from the second moments
-        sigma = ex2 = None
     k = np.arange(1, n + 1, dtype=np.float64)
 
     if spec.family == "point_mass":
@@ -260,14 +229,11 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
         e_u = phi(k * max(c, 0.0))
         e_v = phi(k * max(-c, 0.0))
     elif phi.exponent == 1.0:
-        a_p, _, a_m, _ = _sided_increment_moments(spec)
+        a_p, a_m = _sided_increment_moments(spec, 1)
         e_u, e_v = k * a_p, k * a_m
     elif phi.exponent == 2.0:
-        a_p, s_p, a_m, s_m = _sided_increment_moments(spec)
-        if not (math.isfinite(s_p) and math.isfinite(s_m)):
-            raise NonIntegrabilityError(
-                "second moment of the sided increments is infinite; "
-                "the exponent-2 profile does not exist for this law")
+        a_p, a_m = _sided_increment_moments(spec, 1)
+        s_p, s_m = _sided_increment_moments(spec, 2)
         # E[(sum of k iid nonnegative terms)^2] = k*E[Y^2] + k(k-1)*(E[Y])^2
         e_u = k * s_p + k * (k - 1.0) * a_p ** 2
         e_v = k * s_m + k * (k - 1.0) * a_m ** 2
@@ -281,8 +247,6 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
         n=n,
         e_phi_u=tuple(float(x) for x in np.atleast_1d(e_u)),
         e_phi_v=tuple(float(x) for x in np.atleast_1d(e_v)),
-        sigma=None if sigma is None else (float(sigma),) * n,
-        ex2=None if ex2 is None else (float(ex2),) * n,
         provenance="analytic",
         source=spec.law(),
     )
@@ -334,28 +298,21 @@ def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     batch = resolve_batch(target, target.n, replications, seed, threads, batch)
     profile = {}
     drift = 0.0
-    adjusted = False
     for name, paths in (("u", batch.u[:replications, :target.n]),
                         ("v", batch.v[:replications, :target.n])):
         values = phi(paths)  # (R, n)
         mean = values.mean(axis=0)
         se = values.std(axis=0, ddof=1) / math.sqrt(replications)
         drift = max(drift, _running_mean_drift(values))
-        projected = _pava(mean)
-        adjusted = adjusted or bool(np.any(np.abs(projected - mean) > 2.0 * se))
-        profile[name] = (projected, se)
-    sigma, ex2 = _increment_sigma_ex2(target)
+        profile[name] = (_pava(mean), se)
     return MomentProfile(
         n=target.n,
         e_phi_u=tuple(float(x) for x in profile["u"][0]),
         e_phi_v=tuple(float(x) for x in profile["v"][0]),
-        sigma=None if sigma is None else (float(sigma),) * target.n,
-        ex2=None if ex2 is None else (float(ex2),) * target.n,
         provenance="estimated",
         replications=replications,
         se_u=tuple(float(x) for x in profile["u"][1]),
         se_v=tuple(float(x) for x in profile["v"][1]),
-        isotonic_adjusted=adjusted,
         non_integrable=drift > _DRIFT_LIMIT,
         max_rel_drift=drift,
         source=target.law(),

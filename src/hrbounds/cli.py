@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._digest import digest_of, event_a_n
+from ._digest import digest_of
 from .bounds import (
     MomentProfile,
     SLLNSeriesSpec,
@@ -47,7 +47,6 @@ from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
     _ENUM_MAX_N,
-    binomial_estimate,
     demi_check,
     enumerate_exact,
     estimate_event_An,
@@ -478,8 +477,8 @@ class _Draws:
     @cached_property
     def batch(self) -> TrajectoryBatch:
         cfg = self.cfg
-        return TrajectoryBatch.generate(cfg.sequence.with_n(cfg.n), cfg.replications,
-                                        cfg.master_seed, threads=self.threads)
+        return TrajectoryBatch.generate(cfg.sequence, cfg.replications, cfg.master_seed,
+                                        threads=self.threads)
 
     @cached_property
     def profile(self) -> MomentProfile:
@@ -487,14 +486,13 @@ class _Draws:
 
 
 def _moment_profile(cfg: ExperimentConfig, draws: _Draws) -> MomentProfile:
-    spec = cfg.sequence.with_n(cfg.n)
     if cfg.profile in ("auto", "analytic"):
         try:
-            return analytic_moment_profile(spec, cfg.shape)
+            return analytic_moment_profile(cfg.sequence, cfg.shape)
         except AnalyticProfileUnavailable:
             if cfg.profile == "analytic":
                 raise
-    return estimate_moment_profile(spec, cfg.shape, replications=cfg.replications,
+    return estimate_moment_profile(cfg.sequence, cfg.shape, replications=cfg.replications,
                                    seed=cfg.master_seed, batch=draws.batch)
 
 
@@ -505,7 +503,7 @@ def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
 
 
 def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
-    spec = cfg.sequence.with_n(cfg.n)
+    spec = cfg.sequence
     if kind == "theorem1":
         return bound_theorem1(cfg.shape, cfg.scale, cfg.weights, draws.profile)
     if kind == "rao":
@@ -531,24 +529,21 @@ def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
     raise ValidationError(f"unknown bound kind {kind!r}")
 
 
+def _event(kind: str, cfg: ExperimentConfig) -> dict:
+    """The event a kind's bound constrains, as keyword arguments of `enumerate_exact`."""
+    if kind in ("theorem1", "rao"):
+        return {"event": "A_n", "phi": cfg.shape, "chi": cfg.scale,
+                "process": "u" if kind == "rao" else "S"}
+    amini = kind == "amini"
+    return {"event": "max", "epsilon": _need_epsilon(cfg, kind),
+            "m": 1 if amini else cfg.m, "sided": "abs" if amini else cfg.sided}
+
+
 def _estimate_for(kind: str, cfg: ExperimentConfig, draws: _Draws):
-    spec = cfg.sequence.with_n(cfg.n)
-    if kind == "theorem1":
-        return estimate_event_An(spec, cfg.shape, cfg.scale, cfg.weights, cfg.n,
-                                 cfg.replications, cfg.master_seed, cfg.level,
-                                 batch=draws.batch)
-    if kind == "rao":
-        b = cfg.weights.materialize(cfg.n)
-        inside = np.all(cfg.shape(draws.batch.u) <= cfg.scale(b), axis=1)
-        payload = event_a_n(spec.law(), cfg.shape, cfg.scale, cfg.weights,
-                            cfg.n, process="u")
-        return binomial_estimate(int(inside.sum()), cfg.replications, cfg.level,
-                                 event=payload)
-    m = 1 if kind == "amini" else cfg.m
-    sided = "abs" if kind == "amini" else cfg.sided
-    return estimate_max_event(spec, cfg.weights, _need_epsilon(cfg, kind), m,
-                              cfg.n, cfg.replications, cfg.master_seed, sided,
-                              cfg.level, batch=draws.batch)
+    event = _event(kind, cfg)
+    estimate = estimate_event_An if event.pop("event") == "A_n" else estimate_max_event
+    return estimate(cfg.sequence, w=cfg.weights, n=cfg.n, reps=cfg.replications,
+                    seed=cfg.master_seed, level=cfg.level, batch=draws.batch, **event)
 
 
 def _enumerable(cfg: ExperimentConfig) -> bool:
@@ -558,16 +553,7 @@ def _enumerable(cfg: ExperimentConfig) -> bool:
 
 
 def _enumerate_for(kind: str, cfg: ExperimentConfig):
-    spec = cfg.sequence.with_n(cfg.n)
-    if kind == "theorem1":
-        return enumerate_exact(spec, cfg.shape, cfg.scale, cfg.weights, cfg.n, "A_n")
-    if kind == "rao":
-        return enumerate_exact(spec, cfg.shape, cfg.scale, cfg.weights, cfg.n, "A_n",
-                               process="u")
-    m = 1 if kind == "amini" else cfg.m
-    sided = "abs" if kind == "amini" else cfg.sided
-    return enumerate_exact(spec, w=cfg.weights, n=cfg.n, event="max",
-                           epsilon=_need_epsilon(cfg, kind), m=m, sided=sided)
+    return enumerate_exact(cfg.sequence, w=cfg.weights, n=cfg.n, **_event(kind, cfg))
 
 
 def _corrupt(report):
@@ -623,8 +609,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_check_demi(cfg: ExperimentConfig, out: Path, args) -> int:
-    spec = cfg.sequence.with_n(cfg.n)
-    batch = TrajectoryBatch.generate(spec, cfg.replications, cfg.master_seed,
+    batch = TrajectoryBatch.generate(cfg.sequence, cfg.replications, cfg.master_seed,
                                      threads=args.threads)
     report = demi_check(batch, cfg.process, cfg.family, cfg.level, phi=cfg.shape)
     path = out / "check_demi.json"
@@ -652,7 +637,7 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
     checkpoints = cfg.checkpoints
     if checkpoints is None:
         checkpoints = tuple(sorted({max(2, cfg.n // 100), max(2, cfg.n // 10), cfg.n}))
-    traj = slln_trajectory(cfg.sequence.with_n(cfg.n), cfg.shape, cfg.scale,
+    traj = slln_trajectory(cfg.sequence, cfg.shape, cfg.scale,
                            cfg.weights, cfg.n, cfg.replications, checkpoints,
                            cfg.master_seed, args.threads)
     csv_path = out / "slln_checkpoints.csv"
@@ -673,8 +658,7 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_enumerate(cfg: ExperimentConfig, out: Path, args) -> int:
-    spec = cfg.sequence.with_n(cfg.n)
-    frac = enumerate_exact(spec, cfg.shape, cfg.scale, cfg.weights, cfg.n,
+    frac = enumerate_exact(cfg.sequence, cfg.shape, cfg.scale, cfg.weights, cfg.n,
                            cfg.event, cfg.epsilon, cfg.m, cfg.sided)
     path = out / "enumerate.json"
     _write_json(path, _envelope(cfg, {

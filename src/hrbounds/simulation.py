@@ -7,6 +7,11 @@ counts by dynamic programming over the lattice walk, n <= 4096),
 a verdict function comparing the two, an empirical check of the defining
 inequality E[(T_{j+1} - T_j) g(T_1..T_j)] >= 0, and trailing-window ratio
 summaries for almost-sure convergence demonstrations.
+
+Each event is defined once, as a region (`_region`): which values T_k may
+take at step k.  The Monte Carlo estimators test every step of a sampled
+path against it and the dynamic program every lattice state, so both
+compute the probability of the same event.
 """
 
 from __future__ import annotations
@@ -127,31 +132,70 @@ def binomial_estimate(successes: int, replications: int, level: float = 0.99,
 # event probability estimation
 
 
-def _exceeds(max_ratio: np.ndarray, epsilon: float, sided: str) -> np.ndarray:
+def _exceeds(ratio: np.ndarray, epsilon: float, sided: str) -> np.ndarray:
     # The two-sided event uses >= (the exceedance form the upper bounds
     # constrain); the one-sided event keeps the strict > of the classical
     # statement.  For the continuous laws the difference is null.
     if sided == "abs":
-        return max_ratio >= epsilon
+        return ratio >= epsilon
     if sided == "upper":
-        return max_ratio > epsilon
+        return ratio > epsilon
     raise ValidationError(f"unknown sidedness {sided!r}")
+
+
+def _region(event: str, phi: ShapeFunction | None, chi: ScaleFunction | None,
+            w: WeightSequence | None, n: int, epsilon: float | None = None, m: int = 1,
+            sided: str = "abs", process: str = "S"):
+    """An event's region as ``allowed(k, t)``: may the walk T (S, or u) have T_k = t?
+
+    ``k`` is a scalar or an array broadcast along the last axis of ``t``.
+    ``event`` is "A_n" (phi(T_k) <= chi(b_k) for every k) or "max" (max over
+    m <= k <= n of |T_k|/b_k, or T_k/b_k when ``sided`` is "upper", exceeds
+    epsilon): a path is in A_n when every step is allowed, in max when one is not.
+    """
+    if process not in ("S", "u"):
+        raise ValidationError(f"unknown process {process!r}")
+    if w is None:
+        raise ValidationError("a weight sequence is required")
+    b = w.materialize(n)
+    if event == "A_n":
+        if phi is None or chi is None:
+            raise ValidationError("the A_n event needs phi and chi")
+        envelope = chi(b)
+        return lambda k, t: phi(t) <= envelope[k - 1]
+    if event != "max":
+        raise ValidationError(f"unknown event {event!r}")
+    if epsilon is None or epsilon <= 0:
+        raise ParameterDomainError("epsilon", "must be > 0 for the max event")
+    m = int(m)
+    if m < 1 or m > n:
+        raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
+
+    def allowed(k, t: np.ndarray) -> np.ndarray:
+        ratio = (np.abs(t) if sided == "abs" else t) / b[k - 1]
+        return (k < m) | ~_exceeds(ratio, epsilon, sided)
+    return allowed
+
+
+def _inside(allowed, paths: np.ndarray) -> int:
+    """Number of sampled paths (rows) every one of whose steps is allowed."""
+    return int(np.all(allowed(np.arange(1, paths.shape[1] + 1), paths), axis=1).sum())
 
 
 def estimate_event_An(spec: RandomSequenceSpec, phi: ShapeFunction,
                       chi: ScaleFunction, w: WeightSequence, n: int | None = None,
                       reps: int = 10_000, seed: int = 0, level: float = 0.99,
-                      threads: int = 1,
-                      batch: TrajectoryBatch | None = None) -> MonteCarloEstimate:
-    """Estimate P(phi(S_k) <= chi(b_k) simultaneously for all k <= n)."""
+                      threads: int = 1, batch: TrajectoryBatch | None = None,
+                      process: str = "S") -> MonteCarloEstimate:
+    """Estimate P(phi(T_k) <= chi(b_k) simultaneously for all k <= n), T = S or u."""
     n = int(spec.n if n is None else n)
+    allowed = _region("A_n", phi, chi, w, n, process=process)
     if reps < 1000:
         raise ValidationError("event estimation needs >= 1000 replications")
     batch = resolve_batch(spec, n, reps, seed, threads, batch)
-    b = w.materialize(n)
-    inside = np.all(phi(batch.s[:reps, :n]) <= chi(b), axis=1)
-    return binomial_estimate(int(inside.sum()), reps, level,
-                             event=event_a_n(spec.law(), phi, chi, w, n))
+    paths = batch.s if process == "S" else batch.u
+    return binomial_estimate(_inside(allowed, paths[:reps, :n]), reps, level,
+                             event=event_a_n(spec.law(), phi, chi, w, n, process=process))
 
 
 def estimate_max_event(spec: RandomSequenceSpec, w: WeightSequence, epsilon: float,
@@ -161,19 +205,11 @@ def estimate_max_event(spec: RandomSequenceSpec, w: WeightSequence, epsilon: flo
                        batch: TrajectoryBatch | None = None) -> MonteCarloEstimate:
     """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon)."""
     n = int(spec.n if n is None else n)
-    m = int(m)
-    if m < 1 or m > n:
-        raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if epsilon <= 0:
-        raise ParameterDomainError("epsilon", "must be > 0")
+    allowed = _region("max", None, None, w, n, epsilon, m, sided)
     if reps < 1000:
         raise ValidationError("event estimation needs >= 1000 replications")
     batch = resolve_batch(spec, n, reps, seed, threads, batch)
-    b = w.materialize(n)
-    s = batch.s[:reps, m - 1:n]
-    ratios = (np.abs(s) if sided == "abs" else s) / b[m - 1:n]
-    hit = _exceeds(ratios.max(axis=1), epsilon, sided)
-    return binomial_estimate(int(hit.sum()), reps, level,
+    return binomial_estimate(reps - _inside(allowed, batch.s[:reps, :n]), reps, level,
                              event=event_max_ratio(spec.law(), w, m, n, epsilon, sided))
 
 
@@ -190,14 +226,10 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
     (k, T_k) keeps, for each value of T_k, the number of sign paths that
     reach it without leaving the event's region, as a Python integer; a
     horizon n costs O(n^2) integer additions, not 2^n paths (path counting
-    for the simple random walk, Feller, Vol. I, ch. III).  The region is
-    tested on the float64 values a sampled path holds, with the comparisons
-    of the Monte Carlo estimators, so ties fall the same way.  The result is
-    an exact dyadic rational; a point mass has one path.
-
-    ``event`` is "A_n" (phi(T_k) <= chi(b_k) for every k; needs phi and chi)
-    or "max" (max over m <= k <= n of |T_k|/b_k, or T_k/b_k when ``sided``
-    is "upper", exceeds epsilon).
+    for the simple random walk, Feller, Vol. I, ch. III).  The region is the
+    estimators' `_region`, tested on float64 values, so ties fall the same
+    way; ``event`` and the arguments after it are `_region`'s.  The result
+    is an exact dyadic rational; a point mass has one path.
     """
     n = int(spec.n if n is None else n)
     if spec.family not in ("rademacher", "point_mass"):
@@ -205,35 +237,12 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
     if spec.family == "rademacher" and n > _ENUM_MAX_N:
         raise EnumerationSizeError(
             f"horizon {n} exceeds the exact-enumeration cap n <= {_ENUM_MAX_N}")
-    if process not in ("S", "u"):
-        raise ValidationError(f"unknown process {process!r}")
-    if w is None:
-        raise ValidationError("a weight sequence is required")
-    b = w.materialize(n)
-    if event == "A_n":
-        if phi is None or chi is None:
-            raise ValidationError("the A_n event needs phi and chi")
-        envelope = chi(b)
-
-        def allowed(k, t: np.ndarray) -> np.ndarray:
-            return phi(t) <= envelope[k - 1]
-    elif event == "max":
-        if epsilon is None or epsilon <= 0:
-            raise ParameterDomainError("epsilon", "must be > 0 for the max event")
-        m = int(m)
-        if m < 1 or m > n:
-            raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
-
-        def allowed(k, t: np.ndarray) -> np.ndarray:
-            ratio = (np.abs(t) if sided == "abs" else t) / b[k - 1]
-            return (k < m) | ~_exceeds(ratio, epsilon, sided)
-    else:
-        raise ValidationError(f"unknown event {event!r}")
+    allowed = _region(event, phi, chi, w, n, epsilon, m, sided, process)
 
     if spec.family == "point_mass":
         c = spec.param_dict()["c"]
-        path = np.cumsum(np.full(n, max(c, 0.0) if process == "u" else c))
-        stay = Fraction(int(np.all(allowed(np.arange(1, n + 1), path))))
+        path = np.cumsum(np.full((1, n), max(c, 0.0) if process == "u" else c), axis=1)
+        stay = Fraction(_inside(allowed, path))
     else:
         down = -1 if process == "S" else 0
         paths = np.ones(1, dtype=object)  # paths[j]: count with j up steps, in the region
@@ -458,18 +467,6 @@ class SLLNTrajectoryReport:
             }
             for i, k in enumerate(self.checkpoints)
         ]
-
-    def to_dict(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "median_phi_ratio": list(self.median_phi_ratio),
-            "q95_phi_ratio": list(self.q95_phi_ratio),
-            "median_abs_ratio": list(self.median_abs_ratio),
-            "q95_abs_ratio": list(self.q95_abs_ratio),
-            "replications": self.replications,
-            "n": self.n,
-            "master_seed": self.master_seed,
-        }
 
 
 def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,

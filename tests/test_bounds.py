@@ -82,7 +82,7 @@ class TestTheorem1:
     def test_rejects_decreasing_moment_sequence(self):
         with pytest.raises(HypothesisViolationError) as exc:
             MomentProfile(n=3, e_phi_u=(1.0, 0.5, 2.0), e_phi_v=(0.0, 0.0, 0.0),
-                          sigma=None, ex2=None, provenance="analytic")
+                          provenance="analytic")
         assert tuple(exc.value.failing_indices) == (2,)
 
     def test_estimated_route_agrees_with_analytic(self):
@@ -107,7 +107,7 @@ class TestTheorem1:
     def test_terms_reconstruct_raw_value(self, us, vs):
         n = min(len(us), len(vs))
         mp = MomentProfile(n=n, e_phi_u=us[:n], e_phi_v=vs[:n],
-                           sigma=None, ex2=None, provenance="analytic")
+                           provenance="analytic")
         rep = bound_theorem1(PHI1, ScaleFunction.linear(1.0),
                              WeightSequence.power(1.0, n), mp)
         assert rep.raw_value == pytest.approx(rep.reconstruct_raw(), rel=1e-12)
@@ -122,7 +122,7 @@ class TestTheorem1:
         chi = ScaleFunction.linear(2.0)
         w = WeightSequence.power(1.0, n)
         mp = MomentProfile(n=n, e_phi_u=us, e_phi_v=(0.0,) * n,
-                           sigma=None, ex2=None, provenance="analytic")
+                           provenance="analytic")
         t1 = bound_theorem1(PHI1, chi, w, mp)
         rao = bound_rao(PHI1, chi, w, us)
         assert t1.raw_value == pytest.approx(1.0 - 2.0 * (1.0 - rao.raw_value),

@@ -114,7 +114,9 @@ def test_malformed_config_exits_1_with_json_error(tmp_path, monkeypatch, capsys,
     code = run(["verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)],
                monkeypatch, tmp_path)
     assert code == 1
-    err = json.loads(capsys.readouterr().out)
+    # kinds that succeed before the failing one print their summary line first
+    out = capsys.readouterr().out
+    err = json.loads(out[out.index("{"):])
     assert err["error"] == error and err["message"].startswith(message)
 
 
@@ -233,34 +235,63 @@ def test_bound_heavy_tail_second_moment_errors(tmp_path, monkeypatch, capsys, pr
     assert err["error"] == "NonIntegrabilityError"
 
 
+# Laws whose first moments are finite floats while their second moments are not:
+# E[X^2] is 1e320 for the gaussian law and 1/lam^2 = 1e400 for the centred exponential.
 HUGE_SIGMA = {"family": "gaussian", "n": 16, "params": {"mu": 0.0, "sigma": 1e160}}
+HUGE_MEAN = {"family": "centered_exponential", "n": 16, "params": {"lam": 1e-200}}
+SIGMA_NAMED = "sigma: 1e+160 puts the closed-form moments of the gaussian law"
+LAM_NAMED = "lam: 1e-200 puts the closed-form moments of the centered_exponential law"
 
 
-def test_bound_first_moments_survive_second_moment_overflow(tmp_path, monkeypatch):
-    # E[X+] = sigma / sqrt(2 pi) is about 4e159, while E[X^2] = 1e320 overflows
-    cfg = dict(BASE, sequence=HUGE_SIGMA, kinds=["theorem1"])
+@pytest.mark.parametrize("sequence, first_term", [
+    # E[X+] + E[X-] is 2 sigma / sqrt(2 pi), about 8e159, and 2 / (e lam), about 7e199
+    pytest.param(HUGE_SIGMA, 2e160 / math.sqrt(2.0 * math.pi), id="gaussian"),
+    pytest.param(HUGE_MEAN, 2e200 / math.e, id="centered_exponential"),
+])
+def test_bound_first_moments_survive_second_moment_overflow(tmp_path, monkeypatch,
+                                                           sequence, first_term):
+    cfg = dict(BASE, sequence=sequence, kinds=["theorem1"])
     code = run(["bound", "--config", write_config(tmp_path, cfg),
                 "--out", str(tmp_path)], monkeypatch, tmp_path)
     assert code == 0
     report = json.loads((tmp_path / "bound_theorem1.json").read_text())["report"]
     assert math.isfinite(report["raw_value"]) and report["value"] == 0.0
     # 2K (E[X+] + E[X-]) / chi(b_1) with K = 1 and chi(b_1) = 2
-    assert report["terms"][0] == pytest.approx(2e160 / math.sqrt(2.0 * math.pi), rel=1e-12)
+    assert report["terms"][0] == pytest.approx(first_term, rel=1e-12)
 
 
-@pytest.mark.parametrize("exponent, kind", [(2.0, "theorem1"), (1.0, "amini"),
-                                            (1.0, "classic")])
+@pytest.mark.parametrize("sequence, exponent, kind, message", [
+    pytest.param(HUGE_SIGMA, 2.0, "theorem1", SIGMA_NAMED, id="2.0-theorem1"),
+    pytest.param(HUGE_SIGMA, 1.0, "amini", SIGMA_NAMED, id="1.0-amini"),
+    pytest.param(HUGE_SIGMA, 1.0, "classic", SIGMA_NAMED, id="1.0-classic"),
+    pytest.param(HUGE_MEAN, 2.0, "theorem1", LAM_NAMED,
+                 id="2.0-theorem1-centered_exponential"),
+])
 def test_bound_second_moment_overflow_is_named(tmp_path, monkeypatch, capsys,
-                                               exponent, kind):
-    cfg = dict(BASE, sequence=HUGE_SIGMA, shape={"kind": "abs_power", "exponent": exponent},
+                                               sequence, exponent, kind, message):
+    cfg = dict(BASE, sequence=sequence, shape={"kind": "abs_power", "exponent": exponent},
                kinds=[kind], epsilon=1.0)
     code = run(["bound", "--config", write_config(tmp_path, cfg),
                 "--out", str(tmp_path)], monkeypatch, tmp_path)
     assert code == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "ParameterDomainError"
-    assert err["message"].startswith(
-        "sigma: 1e+160 puts the closed-form moments of the gaussian law")
+    assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("sequence", [HUGE_SIGMA, HUGE_MEAN],
+                         ids=["gaussian", "centered_exponential"])
+def test_estimated_profile_needs_no_closed_form_moments(tmp_path, monkeypatch,
+                                                        command, sequence):
+    # the draws and their first moments are finite floats, so the closed-form
+    # second moments, which are not, play no part
+    cfg = dict(BASE, sequence=sequence, profile="estimated", kinds=["theorem1"])
+    code = run([command, "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    report = json.loads((tmp_path / f"{command}_theorem1.json").read_text())["report"]
+    assert math.isfinite(report["raw_value"]) and report["value"] == 0.0
 
 
 def test_bound_builds_one_profile_for_all_kinds(tmp_path, monkeypatch):
@@ -324,6 +355,24 @@ def test_verify_rao_gets_an_exact_verdict(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "verify_rao.json").read_text())
     assert payload["exact"] == {"numerator": 35, "denominator": 128, "value": 35 / 128}
     assert payload["verdicts"]["exact"] == "vacuous"  # raw bound 1 - H_8 < 0
+
+
+@pytest.mark.parametrize("reps", [999, 1000])
+def test_verify_rao_needs_1000_replications(tmp_path, monkeypatch, capsys, reps):
+    # rao's Monte Carlo estimate is estimate_event_An on the u process, as for theorem1
+    code = run(["verify", "--scenario", "rademacher-oracle", "--kind", "rao",
+                "--reps", str(reps), "--out", str(tmp_path)], monkeypatch, tmp_path)
+    if reps < 1000:
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValidationError",
+            "message": "event estimation needs >= 1000 replications"}
+        assert not (tmp_path / "verify_rao.json").exists()
+    else:
+        assert code == 0
+        payload = json.loads((tmp_path / "verify_rao.json").read_text())
+        assert payload["estimate"]["replications"] == 1000
+        assert payload["estimate"]["event"]["process"] == "u"
 
 
 def test_verify_corrupt_bound_trips_exit_2(tmp_path, monkeypatch):

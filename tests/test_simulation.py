@@ -128,6 +128,51 @@ def test_sidedness_at_the_boundary():
     assert estimate_max_event(spec, w, 1.0, 1, 3, 1000, 0, sided="upper").p_hat == 0.0
 
 
+@st.composite
+def region_cases(draw):
+    n = draw(st.integers(1, 12))
+    spec = draw(st.sampled_from([rademacher, gaussian]))(n)
+    if draw(st.booleans()):
+        w = WeightSequence.power(draw(st.sampled_from([0.0, 0.5, 1.0])), n)
+    else:
+        # quarter steps, so sign-sequence ratios often meet the threshold exactly
+        quarters = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+        w = WeightSequence.custom([q / 4 for q in sorted(quarters)])
+    eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]))
+    rho = draw(st.sampled_from([1.0, 2.0]))
+    return dict(
+        spec=spec, n=n, w=w, epsilon=eps, seed=draw(st.integers(0, 2 ** 32 - 1)),
+        phi=draw(st.sampled_from([ShapeFunction.abs_power,
+                                  ShapeFunction.positive_part_power]))(rho),
+        chi=ScaleFunction.linear(eps) if rho == 1.0 else ScaleFunction.power(eps, rho),
+        ms=(draw(st.integers(1, n)), draw(st.integers(1, n))))
+
+
+@given(region_cases())
+@settings(max_examples=30, deadline=None)
+def test_estimators_count_the_rows_a_loop_counts(case):
+    spec, n, w, eps = case["spec"], case["n"], case["w"], case["epsilon"]
+    phi, chi, reps = case["phi"], case["chi"], 1000
+    batch = TrajectoryBatch.generate(spec, reps, case["seed"])
+    b = w.materialize(n)
+    envelope = chi(b)
+    for process, paths in (("S", batch.s), ("u", batch.u)):
+        inside = 0
+        for row in paths:
+            values = phi(row)
+            inside += all(values[k] <= envelope[k] for k in range(n))
+        est = estimate_event_An(spec, phi, chi, w, n, reps, batch=batch, process=process)
+        assert est.p_hat == inside / reps
+        assert est.event["process"] == process
+    for sided, m in zip(("abs", "upper"), case["ms"]):
+        hits = 0
+        for row in batch.s:
+            ratios = [(abs(row[k]) if sided == "abs" else row[k]) / b[k] for k in range(m - 1, n)]
+            hits += any(r >= eps if sided == "abs" else r > eps for r in ratios)
+        est = estimate_max_event(spec, w, eps, m, n, reps, sided=sided, batch=batch)
+        assert est.p_hat == hits / reps
+
+
 def test_estimator_preconditions():
     with pytest.raises(ValidationError):
         estimate_event_An(rademacher(2), PHI1, ScaleFunction.linear(1.0),
