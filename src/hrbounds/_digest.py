@@ -2,9 +2,10 @@
 
 A bound report and the estimate it is checked against must describe the
 same event; both sides hash the same canonical payload so `verify_bound`
-can refuse apples-to-oranges comparisons.  Weights enter through their
-materialized values, which makes a length-64 weight object sliced to an
-8-step event hash identically to a native length-8 one.
+can refuse apples-to-oranges comparisons.  Weights enter as the SHA-256 of
+their materialized values' little-endian float64 bytes, which makes a
+length-64 weight object sliced to an 8-step event hash identically to a
+native length-8 one, and keeps the event a few hundred bytes at any n.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ def digest_of(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()[:16]
 
 
-def _weights_form(w: WeightSequence, n: int) -> list[str]:
-    return [format(float(v), ".17g") for v in weights_materialize(w, n)]
+def _weights_form(w: WeightSequence, n: int) -> str:
+    """Hex SHA-256 of b_1..b_n as little-endian float64 bytes."""
+    return hashlib.sha256(weights_materialize(w, n).astype("<f8").tobytes()).hexdigest()
 
 
 def event_a_n(law: dict | None, phi: ShapeFunction, chi: ScaleFunction,

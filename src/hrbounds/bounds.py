@@ -110,12 +110,21 @@ class MomentProfile:
 _SIZE_PARAM = {"centered_exponential": "lam", "point_mass": "c", "alpha_stable": "scale"}
 
 
-def _out_of_range(spec: RandomSequenceSpec) -> ParameterDomainError:
+def _out_of_range(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
+                  moments: str = "closed-form moments") -> ParameterDomainError:
+    """Name the parameter whose size put ``moments`` outside the float range.
+
+    A rademacher law has no size parameter, so there the shape's exponent
+    is named (only an estimated profile can overflow it).
+    """
     p = spec.param_dict()
-    name = _SIZE_PARAM.get(spec.family) or ("mu" if abs(p["mu"]) > p["sigma"] else "sigma")
+    if spec.family == "rademacher":
+        name, value = "exponent", phi.exponent
+    else:
+        name = _SIZE_PARAM.get(spec.family) or ("mu" if abs(p["mu"]) > p["sigma"] else "sigma")
+        value = p[name]
     return ParameterDomainError(
-        name, f"{p[name]!r} puts the closed-form moments of the "
-        f"{spec.family} law outside the float range")
+        name, f"{value!r} puts the {moments} of the {spec.family} law outside the float range")
 
 
 def _in_float_range(moments):
@@ -245,8 +254,8 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
 
     return MomentProfile(
         n=n,
-        e_phi_u=tuple(float(x) for x in np.atleast_1d(e_u)),
-        e_phi_v=tuple(float(x) for x in np.atleast_1d(e_v)),
+        e_phi_u=tuple(np.atleast_1d(e_u).tolist()),
+        e_phi_v=tuple(np.atleast_1d(e_v).tolist()),
         provenance="analytic",
         source=spec.law(),
     )
@@ -300,20 +309,24 @@ def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     drift = 0.0
     for name, paths in (("u", batch.u[:replications, :target.n]),
                         ("v", batch.v[:replications, :target.n])):
-        values = phi(paths)  # (R, n)
-        mean = values.mean(axis=0)
-        se = values.std(axis=0, ddof=1) / math.sqrt(replications)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
+            values = phi(paths)  # (R, n)
+            mean = values.mean(axis=0)
+            se = values.std(axis=0, ddof=1) / math.sqrt(replications)
         drift = max(drift, _running_mean_drift(values))
         profile[name] = (_pava(mean), se)
+    non_integrable = drift > _DRIFT_LIMIT
+    if not (non_integrable or all(np.all(np.isfinite(profile[s][0])) for s in "uv")):
+        raise _out_of_range(target, phi, "estimated phi means")
     return MomentProfile(
         n=target.n,
-        e_phi_u=tuple(float(x) for x in profile["u"][0]),
-        e_phi_v=tuple(float(x) for x in profile["v"][0]),
+        e_phi_u=tuple(profile["u"][0].tolist()),
+        e_phi_v=tuple(profile["v"][0].tolist()),
         provenance="estimated",
         replications=replications,
-        se_u=tuple(float(x) for x in profile["u"][1]),
-        se_v=tuple(float(x) for x in profile["v"][1]),
-        non_integrable=drift > _DRIFT_LIMIT,
+        se_u=tuple(profile["u"][1].tolist()),
+        se_v=tuple(profile["v"][1].tolist()),
+        non_integrable=non_integrable,
         max_rel_drift=drift,
         source=target.law(),
     )
@@ -410,7 +423,7 @@ def bound_theorem1(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
         bound_kind="theorem1_lower",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(float(t) for t in terms),
+        terms=tuple(terms.tolist()),
         hypotheses_checked=hypotheses,
         inputs_digest=digest_of(payload),
         event=payload,
@@ -449,7 +462,7 @@ def bound_rao(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
         bound_kind="rao_lower",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(float(t) for t in terms),
+        terms=tuple(terms.tolist()),
         hypotheses_checked=(
             ("moments_nondecreasing", True),
             ("informative", raw > 0.0),
@@ -494,7 +507,7 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
         bound_kind="hajek_renyi_upper",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(float(t) for t in terms),
+        terms=tuple(terms.tolist()),
         hypotheses_checked=(
             ("second_moments_finite", True),
             ("informative", raw < 1.0),
@@ -534,7 +547,7 @@ def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,
         bound_kind="amini_upper",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(float(t) for t in terms),
+        terms=tuple(terms.tolist()),
         hypotheses_checked=(
             ("sigma_nonnegative", True),
             ("informative", raw < 1.0),

@@ -47,6 +47,8 @@ from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
     _ENUM_MAX_N,
+    check_demi_size,
+    check_event_reps,
     demi_check,
     enumerate_exact,
     estimate_event_An,
@@ -96,7 +98,12 @@ def render_json(obj, _depth: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{npad}{render_json(v, _depth + 1)}" for v in obj)
+        if all(type(v) is float for v in obj):  # one flat pass: "%.17g" is format(v, ".17g")
+            if not all(map(math.isfinite, obj)):
+                raise ValidationError("non-finite number in output")
+            items = ",\n".join(map(f"{npad}%.17g".__mod__, obj))
+        else:
+            items = ",\n".join(f"{npad}{render_json(v, _depth + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     raise ValidationError(f"cannot render {type(obj).__name__} as JSON")
 
@@ -578,6 +585,7 @@ def cmd_bound(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
+    check_event_reps(cfg.replications)  # every kind is estimated: refuse before drawing
     code = 0
     draws = _Draws(cfg, args.threads)
     for kind in cfg.kinds:
@@ -609,6 +617,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_check_demi(cfg: ExperimentConfig, out: Path, args) -> int:
+    check_demi_size(cfg.replications, cfg.n)
     batch = TrajectoryBatch.generate(cfg.sequence, cfg.replications, cfg.master_seed,
                                      threads=args.threads)
     report = demi_check(batch, cfg.process, cfg.family, cfg.level, phi=cfg.shape)

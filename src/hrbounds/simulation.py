@@ -182,6 +182,12 @@ def _inside(allowed, paths: np.ndarray) -> int:
     return int(np.all(allowed(np.arange(1, paths.shape[1] + 1), paths), axis=1).sum())
 
 
+def check_event_reps(reps: int) -> None:
+    """Refuse an event estimate from fewer than 1000 rows, before any are drawn."""
+    if reps < 1000:
+        raise ValidationError("event estimation needs >= 1000 replications")
+
+
 def estimate_event_An(spec: RandomSequenceSpec, phi: ShapeFunction,
                       chi: ScaleFunction, w: WeightSequence, n: int | None = None,
                       reps: int = 10_000, seed: int = 0, level: float = 0.99,
@@ -190,8 +196,7 @@ def estimate_event_An(spec: RandomSequenceSpec, phi: ShapeFunction,
     """Estimate P(phi(T_k) <= chi(b_k) simultaneously for all k <= n), T = S or u."""
     n = int(spec.n if n is None else n)
     allowed = _region("A_n", phi, chi, w, n, process=process)
-    if reps < 1000:
-        raise ValidationError("event estimation needs >= 1000 replications")
+    check_event_reps(reps)
     batch = resolve_batch(spec, n, reps, seed, threads, batch)
     paths = batch.s if process == "S" else batch.u
     return binomial_estimate(_inside(allowed, paths[:reps, :n]), reps, level,
@@ -206,8 +211,7 @@ def estimate_max_event(spec: RandomSequenceSpec, w: WeightSequence, epsilon: flo
     """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon)."""
     n = int(spec.n if n is None else n)
     allowed = _region("max", None, None, w, n, epsilon, m, sided)
-    if reps < 1000:
-        raise ValidationError("event estimation needs >= 1000 replications")
+    check_event_reps(reps)
     batch = resolve_batch(spec, n, reps, seed, threads, batch)
     return binomial_estimate(reps - _inside(allowed, batch.s[:reps, :n]), reps, level,
                              event=event_max_ratio(spec.law(), w, m, n, epsilon, sided))
@@ -375,6 +379,14 @@ def _process_matrix(batch: TrajectoryBatch, process: str,
     raise ValidationError(f"unknown process {process!r}")
 
 
+def check_demi_size(replications: int, n: int) -> None:
+    """Refuse a demi check of fewer than 1000 rows or 2 steps, before any are drawn."""
+    if replications < 1000:
+        raise ValidationError("demi check needs >= 1000 replications")
+    if n < 2:
+        raise ValidationError("need at least two indices to form a margin")
+
+
 def demi_check(batch: TrajectoryBatch, process: str = "S",
                family: tuple[str, ...] = DEFAULT_DEMI_FAMILY,
                level: float = 0.99,
@@ -392,10 +404,7 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     unknown = [g for g in family if g not in DEFAULT_DEMI_FAMILY]
     if unknown:
         raise ValidationError(f"unknown test functions: {unknown}")
-    if batch.replications < 1000:
-        raise ValidationError("demi check needs >= 1000 replications")
-    if batch.n < 2:
-        raise ValidationError("need at least two indices to form a margin")
+    check_demi_size(batch.replications, batch.n)
     if not 0.0 < level < 1.0:
         raise ParameterDomainError("level", "must be in (0, 1)")
 

@@ -6,10 +6,12 @@ import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import hrbounds
 from hrbounds import cli
@@ -195,6 +197,55 @@ def test_render_json_uses_17_digits_and_rejects_nan():
         render_json(float("nan"))
 
 
+def _per_element(xs, depth=0):
+    """A float list as render_json renders it one element at a time, through _fmt."""
+    pad, npad = "  " * depth, "  " * (depth + 1)
+    return "[\n" + ",\n".join(npad + cli._fmt(v) for v in xs) + "\n" + pad + "]"
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@example(xs=[5e-324, -0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308,
+             2.2250738585072009e-308, 1e16, 1e-5, 0.1, 123456789012345678.0])
+def test_flat_float_lists_render_like_each_element(xs):
+    assert render_json(xs) == _per_element(xs)
+    assert render_json(tuple(xs)) == _per_element(xs)
+    assert render_json({"terms": xs}) == '{\n  "terms": ' + _per_element(xs, 1) + "\n}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_in_a_list_is_refused(bad):
+    for xs in ([0.5, bad], (bad,), [1, bad], [np.float64(0.5), np.float64(bad)]):
+        with pytest.raises(ValidationError, match="non-finite number in output"):
+            render_json(xs)
+
+
+def test_mixed_lists_render_element_by_element():
+    assert render_json([1, 0.5, True, None, "a"]) == \
+        '[\n  1,\n  0.5,\n  true,\n  null,\n  "a"\n]'
+    assert render_json([np.float64(0.1), 0.2]) == \
+        "[\n  0.10000000000000001,\n  0.20000000000000001\n]"
+    assert render_json([True, False]) == "[\n  true,\n  false\n]"
+    assert render_json([3, 4]) == "[\n  3,\n  4\n]"
+    assert render_json([["informative", True], ["well_defined", False]]) == (
+        '[\n  [\n    "informative",\n    true\n  ],\n'
+        '  [\n    "well_defined",\n    false\n  ]\n]')
+
+
+def test_non_finite_term_ends_in_the_json_error(tmp_path, monkeypatch, capsys):
+    real = cli._compute_bound
+
+    def with_nan_term(kind, cfg, draws):
+        report = real(kind, cfg, draws)
+        return replace(report, terms=report.terms[:-1] + (math.nan,))
+
+    monkeypatch.setattr(cli, "_compute_bound", with_nan_term)
+    code = run(["bound", "--scenario", "rademacher-oracle", "--out", str(tmp_path)],
+               monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError", "message": "non-finite number in output"}
+
+
 # ---------------------------------------------------------------------------
 # bound command
 
@@ -277,6 +328,40 @@ def test_bound_second_moment_overflow_is_named(tmp_path, monkeypatch, capsys,
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "ParameterDomainError"
     assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("sequence, exponent, named", [
+    pytest.param(HUGE_SIGMA, 2.0, "sigma: 1e+160 puts the estimated phi means of the gaussian law",
+                 id="gaussian"),
+    # a rademacher law has no size parameter: |S_k|^200 overflows from |S_k| = 35 on
+    pytest.param({"family": "rademacher", "n": 64}, 200.0,
+                 "exponent: 200.0 puts the estimated phi means of the rademacher law",
+                 id="rademacher"),
+])
+def test_estimated_profile_overflow_is_named(tmp_path, monkeypatch, capsys,
+                                             sequence, exponent, named):
+    cfg = dict(BASE, sequence=sequence, shape={"kind": "abs_power", "exponent": exponent},
+               profile="estimated", kinds=["theorem1"])
+    code = run(["bound", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ParameterDomainError"
+    assert err["message"].startswith(named)
+
+
+def test_bound_at_the_slln_horizon_stays_small(tmp_path, monkeypatch):
+    # the event carries a hash of the 10^5 weights, not the weights themselves
+    cfg = dict(BASE, sequence=dict(GAUSS_SEQ, n=100_000), epsilon=2.0,
+               kinds=["theorem1", "rao", "amini"])
+    assert run(["bound", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path / "out")], monkeypatch, tmp_path) == 0
+    written = sum(p.stat().st_size for p in (tmp_path / "out").iterdir())
+    assert written < 10_000_000
+    for kind in cfg["kinds"]:
+        report = json.loads((tmp_path / "out" / f"bound_{kind}.json").read_text())["report"]
+        assert len(report["terms"]) == 100_000
+        assert len(report["event"]["weights"]) == 64
 
 
 @pytest.mark.parametrize("command", ["bound", "verify"])
@@ -437,6 +522,32 @@ def test_verify_multi_kind_matches_single_kind_runs(tmp_path, monkeypatch):
         name = f"verify_{kind}.json"
         assert _without_config_digest(together / name) == \
             _without_config_digest(alone / name)
+
+
+EVENT_REPS = "event estimation needs >= 1000 replications"
+DEMI_REPS = "demi check needs >= 1000 replications"
+
+
+@pytest.mark.parametrize("command, source, message", [
+    # 200 replications of n = 10^5 would be 2 x 10^7 rows drawn only to be refused
+    ("verify", "stable-first-moment", EVENT_REPS),
+    ("check-demi", "stable-first-moment", DEMI_REPS),
+    # an estimated profile would draw its batch for the bound before the estimate
+    ("verify", dict(BASE, profile="estimated", replications=999), EVENT_REPS),
+    ("check-demi", dict(BASE, replications=999), DEMI_REPS),
+    ("check-demi", dict(BASE, sequence=dict(GAUSS_SEQ, n=1)),
+     "need at least two indices to form a margin"),
+], ids=["verify-preset", "check-demi-preset", "verify-estimated", "check-demi-999",
+        "check-demi-n1"])
+def test_refused_before_drawing(tmp_path, monkeypatch, capsys, command, source, message):
+    generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
+    config = (["--scenario", source] if isinstance(source, str)
+              else ["--config", write_config(tmp_path, source)])
+    code = run([command, *config, "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "ValidationError",
+                                                   "message": message}
+    assert generated == []
 
 
 # ---------------------------------------------------------------------------
