@@ -58,7 +58,7 @@ from .simulation import (
     verify_bound,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "BOUND_KINDS",

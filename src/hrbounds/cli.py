@@ -47,6 +47,7 @@ from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
     _ENUM_MAX_N,
+    check_checkpoints,
     check_demi_size,
     check_event_reps,
     demi_check,
@@ -639,13 +640,14 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
     series_spec = SLLNSeriesSpec(
         alpha=tuple(alpha) if isinstance(alpha, list) else float(alpha),
         r=cfg.series["r"], weights=cfg.weights, c=cfg.series["c"])
+    checkpoints = cfg.checkpoints
+    if checkpoints is None:
+        checkpoints = tuple(sorted({max(2, cfg.n // 100), max(2, cfg.n // 10), cfg.n}))
+    check_checkpoints(checkpoints, cfg.n)
     series = slln_series_check(series_spec, horizon=cfg.n)
     _write_json(out / "slln_series.json",
                 _envelope(cfg, {"series": series.to_dict()}))
 
-    checkpoints = cfg.checkpoints
-    if checkpoints is None:
-        checkpoints = tuple(sorted({max(2, cfg.n // 100), max(2, cfg.n // 10), cfg.n}))
     traj = slln_trajectory(cfg.sequence, cfg.shape, cfg.scale,
                            cfg.weights, cfg.n, cfg.replications, checkpoints,
                            cfg.master_seed, args.threads)

@@ -478,6 +478,19 @@ class SLLNTrajectoryReport:
         ]
 
 
+def check_checkpoints(checkpoints, n: int) -> tuple[int, ...]:
+    """The checkpoints as ints; refused unless increasing, >= 2 and <= n.
+
+    ``hrbounds slln`` calls this before it writes anything.
+    """
+    cps = tuple(int(k) for k in checkpoints)
+    if not cps or any(k < 2 for k in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValidationError("checkpoints must be increasing integers >= 2")
+    if cps[-1] > n:
+        raise ValidationError(f"last checkpoint {cps[-1]} exceeds horizon {n}")
+    return cps
+
+
 def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
                     chi: ScaleFunction, w: WeightSequence, n: int | None = None,
                     reps: int = 200, checkpoints: tuple[int, ...] = (10 ** 3, 10 ** 4, 10 ** 5),
@@ -493,11 +506,7 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
         raise HypothesisViolationError(
             "almost-sure convergence needs unbounded weights; "
             "got a bounded (or not certifiably unbounded) sequence")
-    cps = tuple(int(k) for k in checkpoints)
-    if not cps or any(k < 2 for k in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValidationError("checkpoints must be increasing integers >= 2")
-    if cps[-1] > n:
-        raise ValidationError(f"last checkpoint {cps[-1]} exceeds horizon {n}")
+    cps = check_checkpoints(checkpoints, n)
     if reps < 1:
         raise ValidationError("need at least one replicate")
 

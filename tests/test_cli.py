@@ -621,6 +621,19 @@ def test_slln_bounded_weights_rejected(tmp_path, monkeypatch, capsys):
     assert "unbounded" in json.loads(capsys.readouterr().out)["message"]
 
 
+def test_slln_checkpoint_past_horizon_writes_nothing(tmp_path, monkeypatch, capsys):
+    cfg = dict(BASE, sequence={"family": "gaussian", "n": 1000, "params": {}}, n=1000,
+               replications=20, checkpoints=[10, 5000], series={"alpha": 1.0, "r": 2.0})
+    out = tmp_path / "out"
+    code = run(["slln", "--config", write_config(tmp_path, cfg),
+                "--out", str(out)], monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError", "message": "last checkpoint 5000 exceeds horizon 1000"}
+    assert not (out / "slln_series.json").exists()
+    assert not (out / "slln_checkpoints.csv").exists()
+
+
 def test_slln_requires_series_block(tmp_path, monkeypatch, capsys):
     code = run(["slln", "--config", write_config(tmp_path, dict(BASE, n=16)),
                 "--out", str(tmp_path)], monkeypatch, tmp_path)

@@ -105,6 +105,77 @@ def test_stable_sample_closed_form_at_alpha2():
     np.testing.assert_allclose(stable_sample(2.0, 0.0, 3.0, u1, u2), 2.0 * out)
 
 
+def _cms_reference(alpha, beta, scale, u1, u2):
+    """The CMS transform in its sin/cos/pow form, as the sampler first wrote it."""
+    v = np.pi * (u1 - 0.5)
+    w = -np.log(u2)
+    if alpha == 1.0:
+        half_pi = np.pi / 2
+        z = (2 / np.pi) * ((half_pi + beta * v) * np.tan(v)
+                           - beta * np.log((half_pi * w * np.cos(v)) / (half_pi + beta * v)))
+        return scale * z + (2 / np.pi) * beta * scale * math.log(scale)
+    ta = 0.0 if alpha == 2.0 else math.tan(math.pi * alpha / 2)
+    b0 = math.atan(beta * ta) / alpha
+    s0 = (1 + (beta * ta) ** 2) ** (1 / (2 * alpha))
+    z = (s0 * np.sin(alpha * (v + b0)) / np.cos(v) ** (1 / alpha)
+         * (np.cos(v - alpha * (v + b0)) / w) ** ((1 - alpha) / alpha))
+    return scale * z
+
+
+_EPS = np.finfo(np.float64).eps
+_EDGES = np.array([_EPS, 1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-12, 1 - _EPS])
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.2, 1.5, 1.9, 2.0])
+def test_stable_sample_matches_sin_cos_pow_form(alpha, beta):
+    """The tangent form agrees with the sin/cos/pow form within 1e-13 relative.
+
+    At alpha = 1 the variate is a difference of two terms and crosses zero,
+    so last-bit differences there are absolute: they get an atol of 1e-13
+    times the scale.  The reference is NaN where rounding puts a cosine's
+    angle just past pi/2 (u1 = eps or 1 - eps, alpha = 1.2, beta = -+1); the
+    tangent form must stay finite there too.
+    """
+    scale = 1.3
+    rng = np.random.default_rng(2012)
+    random = np.clip(rng.random((2, 20_000)), _EPS, 1 - _EPS)
+    edges = np.stack([g.ravel() for g in np.meshgrid(_EDGES, _EDGES)])
+    atol = 1e-13 * scale if alpha == 1.0 else 0.0
+    with np.errstate(invalid="ignore"):
+        for name, (u1, u2) in (("random", random), ("edges", edges)):
+            got = stable_sample(alpha, beta, scale, u1, u2)
+            want = _cms_reference(alpha, beta, scale, u1, u2)
+            assert np.all(np.isfinite(got))
+            ok = np.isfinite(want)
+            assert ok.all() or name == "edges"
+            np.testing.assert_allclose(got[ok], want[ok], rtol=1e-13, atol=atol)
+
+
+def test_stable_sample_scalar_in_float_out():
+    for alpha in (0.7, 1.0, 2.0):
+        out = stable_sample(alpha, 0.5, 1.0, 0.3, 0.6)
+        assert type(out) is float
+        assert out == stable_sample(alpha, 0.5, 1.0, np.array([0.3]), np.array([0.6]))[0]
+
+
+def test_stable_sample_chunks_do_not_change_bits():
+    """A (3, 10_007) input crosses a chunk boundary; each row is its own call."""
+    rng = np.random.default_rng(7)
+    u1, u2 = rng.random((2, 3, 10_007))
+    for alpha, beta in ((1.5, 0.3), (1.0, -0.5), (0.6, 1.0)):
+        whole = stable_sample(alpha, beta, 2.0, u1, u2)
+        rows = np.stack([stable_sample(alpha, beta, 2.0, a, b) for a, b in zip(u1, u2)])
+        assert whole.shape == (3, 10_007)
+        np.testing.assert_array_equal(whole, rows)
+
+
+def test_stable_sample_uniform_domain():
+    for u1, u2 in ((0.0, 0.5), (0.5, 1.0), (np.array([0.2, 1.5]), np.array([0.3, 0.4]))):
+        with pytest.raises(ParameterDomainError):
+            stable_sample(1.5, 0.0, 1.0, u1, u2)
+
+
 @pytest.mark.parametrize("bad", [
     dict(alpha=0.0, beta=0.0, scale=1.0),
     dict(alpha=2.5, beta=0.0, scale=1.0),

@@ -1,7 +1,9 @@
-"""The stdlib normal and Clopper-Pearson formulas and the PAVA fit against scipy.
+"""The stdlib normal and Clopper-Pearson formulas, the PAVA fit and the skewed
+stable sampler against scipy.
 
 scipy is a test-only oracle: the package itself imports only numpy and the
-standard library.  Every comparison holds within 1e-12 relative.
+standard library.  Every formula comparison holds within 1e-12 relative; the
+sampler's empirical CDF holds within 6 binomial standard errors.
 """
 
 import math
@@ -11,9 +13,10 @@ import pytest
 
 pytest.importorskip("scipy")
 from scipy.optimize import isotonic_regression  # noqa: E402
-from scipy.stats import beta, norm  # noqa: E402
+from scipy.stats import beta, levy_stable, norm  # noqa: E402
 
 from hrbounds.bounds import _normal_cdf, _normal_pdf, _pava  # noqa: E402
+from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid  # noqa: E402
 from hrbounds.simulation import _normal_quantile, binomial_estimate  # noqa: E402
 
 RTOL = 1e-12
@@ -66,3 +69,16 @@ def test_pava_matches_isotonic_regression():
             y = np.round(y)  # ties
         got, want = _pava(y), isotonic_regression(y).x
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * np.abs(y).max())
+
+
+@pytest.mark.parametrize("alpha,skew,scale", [(1.2, 0.5, 2.0), (0.8, -0.7, 1.0), (1.0, 0.5, 1.5)])
+def test_skewed_stable_cdf(monkeypatch, alpha, skew, scale):
+    """Empirical CDF of 2e5 draws against levy_stable (S1) at seven points."""
+    monkeypatch.setattr(levy_stable, "parameterization", "S1")
+    n = 200_000
+    x = sample_iid(RandomSequenceSpec.alpha_stable(n, alpha, skew, scale), SeedSpec(2012, 0))
+    points = scale * np.array([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0])
+    cdf = levy_stable.cdf(points, alpha, skew, scale=scale)
+    empirical = (x[:, None] <= points).mean(axis=0)
+    se = np.sqrt(cdf * (1.0 - cdf) / n)
+    assert np.all(np.abs(empirical - cdf) <= 6.0 * se)
