@@ -7,16 +7,24 @@ and the degenerate point mass.
 
 Stream discipline: the stream for ``SeedSpec(master_seed, b)`` is derived
 as ``numpy.random.SeedSequence([master_seed, b])``, i.e. hash-based child
-seeding.  One stream feeds one block of rows, drawn in a single vectorised
-call (``sample_iid(spec, seed, rows=m)``); streams for distinct block
-indices never overlap, so blocks can be generated in parallel and in any
-order with identical results.  How rows are grouped into blocks is fixed
-by ``sequences.block_rows``.
+seeding.  One stream feeds one block of rows (``sample_iid(spec, seed,
+rows=m)``); streams for distinct block indices never overlap, so blocks can
+be generated in parallel and in any order with identical results.  How rows
+are grouped into blocks is fixed by ``sequences.block_rows``.
+
+``draw_chunks`` reads a block's draw as consecutive pieces of at most
+``CHUNK`` entries; ``sample_iid`` is their concatenation.  A block of at
+most ``CHUNK`` entries is one piece, one vectorised draw.  Every family
+reads its stream in entry order, so the pieces do not depend on where the
+draw is cut.  The stable family reads two uniforms per entry: u1 from the
+block's stream, and u2 from the same stream advanced past the ``rows * n``
+draws of u1, which are the values two whole-block ``random`` calls give.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,9 +163,10 @@ class RandomSequenceSpec:
         }
 
 
-# Entries per evaluation chunk of ``stable_sample``: its work buffers are
-# 64 KiB, reused from chunk to chunk, never arrays as long as the input.
-_CHUNK = 8192
+# Entries per chunk of a streamed draw, of the prefix sums (``sequences``) and
+# of ``stable_sample``'s evaluation: 64 KiB of float64, small enough that work
+# buffers of this size are reused from the heap and never fault in new pages.
+CHUNK = 8192
 
 
 def _log_cos_from_tan(t: np.ndarray) -> None:
@@ -197,7 +206,7 @@ def stable_sample(alpha: float, beta: float, scale: float, u1, u2):
     * (log cos(V - alpha theta) - log W))``.  This agrees with the
     sin/cos/pow form to about 1e-14 relative, and stays finite at uniforms
     where rounding puts a cosine's angle just past pi/2, where the pow form
-    gives NaN.  The flattened input is evaluated in chunks of ``_CHUNK``
+    gives NaN.  The flattened input is evaluated in chunks of ``CHUNK``
     entries, each in place in its slice of the output and three work
     buffers, so no temporary grows with the input.
     """
@@ -227,8 +236,8 @@ def stable_sample(alpha: float, beta: float, scale: float, u1, u2):
         p = (1 - alpha) / alpha
     # Every step writes into the chunk of ``out`` or one of three work
     # buffers; the comments name what each buffer holds after the step.
-    for lo in range(0, u1.size, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
+    for lo in range(0, u1.size, CHUNK):
+        chunk = slice(lo, lo + CHUNK)
         o = out[chunk]
         v = u1[chunk] - 0.5
         v *= np.pi                                  # V, uniform on (-pi/2, pi/2)
@@ -273,29 +282,63 @@ def stable_sample(alpha: float, beta: float, scale: float, u1, u2):
     return out if out.ndim else float(out)
 
 
+def draw_chunks(spec: RandomSequenceSpec, seed: SeedSpec,
+                rows: int = 1) -> Iterator[np.ndarray]:
+    """The ``(rows, n)`` draw of ``spec`` from ``seed``, as consecutive flat pieces.
+
+    Each piece holds the next ``CHUNK`` entries in row-major order (the last
+    one fewer), so a draw of at most ``CHUNK`` entries, none included, is a
+    single piece.
+    The pieces, concatenated and reshaped, are ``sample_iid(spec, seed,
+    rows)`` bit for bit.  The stream is seeded once, when the first piece is
+    asked for.
+    """
+    rng = seed.generator()
+    total = int(rows) * int(spec.n)
+    p = spec.param_dict()
+    if spec.family == "rademacher":
+        def draw(size):
+            return 2.0 * rng.integers(0, 2, size=size) - 1.0
+    elif spec.family == "gaussian":
+        def draw(size):
+            return p["mu"] + p["sigma"] * rng.standard_normal(size)
+    elif spec.family == "centered_exponential":
+        def draw(size):
+            return rng.exponential(1.0 / p["lam"], size=size) - 1.0 / p["lam"]
+    elif spec.family == "point_mass":
+        def draw(size):
+            return np.full(size, p["c"], dtype=np.float64)
+    else:
+        # alpha_stable: u1 and u2 feed the pure CMS transform.  Drawn in one
+        # piece, u2 follows u1 in the stream; drawn in several, it is read
+        # from a copy of the stream advanced past all of u1.
+        rng2 = rng
+        if total > CHUNK:
+            bits = np.random.PCG64()
+            bits.state = rng.bit_generator.state
+            bits.advance(total)
+            rng2 = np.random.Generator(bits)
+        eps = np.finfo(np.float64).eps
+
+        def draw(size):
+            u1 = rng.random(size)
+            u2 = rng2.random(size)
+            np.clip(u1, eps, 1.0 - eps, out=u1)
+            np.clip(u2, eps, 1.0 - eps, out=u2)
+            return stable_sample(p["alpha"], p["beta"], p["scale"], u1, u2)
+    for lo in range(0, total or 1, CHUNK):
+        yield draw(min(CHUNK, total - lo))
+
+
 def sample_iid(spec: RandomSequenceSpec, seed: SeedSpec,
                rows: int | None = None) -> np.ndarray:
     """Draw the length-n i.i.d. vector described by ``spec``, or ``rows`` of them.
 
-    With ``rows`` the result is a ``(rows, n)`` array drawn in one call from
-    the one stream; ``rows=1`` gives the 1-D draw as its only row.
-    Bitwise reproducible: identical ``(spec, seed, rows)`` give identical output.
+    With ``rows`` the result is a ``(rows, n)`` array drawn from the one
+    stream; ``rows=1`` gives the 1-D draw as its only row.  The draw is the
+    concatenation of ``draw_chunks``.  Bitwise reproducible: identical
+    ``(spec, seed, rows)`` give identical output.
     """
-    rng = seed.generator()
-    size = int(spec.n) if rows is None else (int(rows), int(spec.n))
-    p = spec.param_dict()
-    if spec.family == "rademacher":
-        return (2.0 * rng.integers(0, 2, size=size) - 1.0).astype(np.float64)
-    if spec.family == "gaussian":
-        return p["mu"] + p["sigma"] * rng.standard_normal(size)
-    if spec.family == "centered_exponential":
-        return rng.exponential(1.0 / p["lam"], size=size) - 1.0 / p["lam"]
-    if spec.family == "point_mass":
-        return np.full(size, p["c"], dtype=np.float64)
-    # alpha_stable: two uniform arrays feed the pure CMS transform.
-    eps = np.finfo(np.float64).eps
-    u1 = rng.random(size)
-    u2 = rng.random(size)
-    np.clip(u1, eps, 1.0 - eps, out=u1)
-    np.clip(u2, eps, 1.0 - eps, out=u2)
-    return np.asarray(stable_sample(p["alpha"], p["beta"], p["scale"], u1, u2))
+    pieces = list(draw_chunks(spec, seed, 1 if rows is None else rows))
+    x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    return x if rows is None else x.reshape(int(rows), int(spec.n))

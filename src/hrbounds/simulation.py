@@ -17,6 +17,7 @@ compute the probability of the same event.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
@@ -33,7 +34,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch, for_each_block, partial_sums, resolve_batch
+from .sequences import TrajectoryBatch, for_each_block, prefix_sum_chunks, resolve_batch
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 
 # Largest sign-sequence horizon of the exact oracle.  There the dynamic program
@@ -498,8 +499,11 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
     """Per-checkpoint ratio summaries along independent long trajectories.
 
     Replicates are drawn and summarised block by block, and only the
-    summaries are kept.  Above n = 4096 a block is one row, so a 10^5-step
-    run never holds a replicate-by-step matrix and memory stays O(n).
+    summaries are kept.  Each row is read as a stream of chunks of at most
+    8192 entries (``distributions.CHUNK``): the draw, its prefix sums, the
+    two ratios and the running maximum of every checkpoint window it meets
+    are computed one chunk at a time.  Memory is a few chunk-sized buffers
+    plus the n-length ``b`` and ``chi(b)``, at any n and any number of rows.
     """
     n = int(spec.n if n is None else n)
     if not w.is_unbounded:
@@ -512,18 +516,34 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
 
     b = w.materialize(n)
     chib = chi(b)
+    # the [k/2, k] window of each checkpoint, as 0-based [lo, k)
+    windows = [(max(k // 2, 1) - 1, k) for k in cps]
     phi_out = np.empty((reps, len(cps)), dtype=np.float64)
     abs_out = np.empty((reps, len(cps)), dtype=np.float64)
 
-    def run(first: int, block: np.ndarray) -> None:
-        for r, x in enumerate(block, start=first):
-            s = partial_sums(x)
-            phi_ratio = phi(s) / chib
-            abs_ratio = np.abs(s) / b
-            for i, k in enumerate(cps):
-                lo = max(k // 2, 1) - 1  # 0-based start of the [k/2, k] window
-                phi_out[r, i] = phi_ratio[lo:k].max()
-                abs_out[r, i] = abs_ratio[lo:k].max()
+    def run(first: int, pieces: Iterator[np.ndarray]) -> None:
+        for row, col, s in prefix_sum_chunks(pieces, n, check_finite=True):
+            rows = slice(first + row, first + row + len(s))
+            if col == 0:
+                phi_out[rows] = abs_out[rows] = -np.inf
+            end = col + s.shape[1]
+            # the windows this chunk meets, cut to it; the ratios are needed
+            # only on the span [a, z) of those pieces
+            hits = [(i, max(lo, col), min(k, end)) for i, (lo, k) in enumerate(windows)
+                    if lo < end and k > col]
+            if not hits:
+                continue
+            a, z = min(h[1] for h in hits), max(h[2] for h in hits)
+            s = s[:, a - col:z - col]
+            phi_ratio = phi(s)
+            phi_ratio /= chib[a:z]
+            abs_ratio = np.abs(s)
+            abs_ratio /= b[a:z]
+            # np.maximum keeps a NaN, as max() over the whole window does
+            for i, lo, hi in hits:
+                for out, ratio in ((phi_out, phi_ratio), (abs_out, abs_ratio)):
+                    np.maximum(out[rows, i], ratio[:, lo - a:hi - a].max(axis=1),
+                               out=out[rows, i])
 
     for_each_block(spec.with_n(n), reps, seed, threads, run)
 

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid, stable_sample
+from hrbounds.distributions import (
+    CHUNK,
+    RandomSequenceSpec,
+    SeedSpec,
+    draw_chunks,
+    sample_iid,
+    stable_sample,
+)
+from hrbounds.sequences import block_rows, for_each_block
 from hrbounds.errors import ParameterDomainError, ValidationError
 
 
@@ -208,3 +216,77 @@ def test_law_excludes_horizon():
     b = spec("gaussian", 99, mu=0.0, sigma=1.0)
     assert a.law() == b.law()
     assert a.descriptor() != b.descriptor()
+
+
+def _whole_draw_reference(spec, seed, rows):
+    """The (rows, n) draw as one vectorised call per array, as sample_iid first made it."""
+    rng = seed.generator()
+    size = (rows, spec.n)
+    p = spec.param_dict()
+    if spec.family == "rademacher":
+        return 2.0 * rng.integers(0, 2, size=size) - 1.0
+    if spec.family == "gaussian":
+        return p["mu"] + p["sigma"] * rng.standard_normal(size)
+    if spec.family == "centered_exponential":
+        return rng.exponential(1.0 / p["lam"], size=size) - 1.0 / p["lam"]
+    if spec.family == "point_mass":
+        return np.full(size, p["c"], dtype=np.float64)
+    u1 = np.clip(rng.random(size), _EPS, 1.0 - _EPS)
+    u2 = np.clip(rng.random(size), _EPS, 1.0 - _EPS)
+    return stable_sample(p["alpha"], p["beta"], p["scale"], u1, u2)
+
+
+STREAM_SPECS = [
+    RandomSequenceSpec.rademacher(1),
+    RandomSequenceSpec.gaussian(1, mu=0.5, sigma=2.0),
+    RandomSequenceSpec.centered_exponential(1, lam=3.0),
+    RandomSequenceSpec.alpha_stable(1, alpha=1.3, beta=0.4, scale=2.0),
+    RandomSequenceSpec.point_mass(1, c=-1.25),
+]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).ravel().view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 4096, 8191, 8192, 8193, 100_003])
+@pytest.mark.parametrize("law", STREAM_SPECS, ids=lambda s: s.family)
+def test_draw_chunks_are_the_whole_draw(law, n, monkeypatch):
+    """Chunks concatenate to sample_iid and to one whole draw, bit for bit.
+
+    A block is seeded once however many chunks it is read in, and
+    for_each_block hands each block's chunks on, the last block cut short.
+    """
+    spec = law.with_n(n)
+    m = block_rows(n)
+    seeded = []
+    generator = SeedSpec.generator
+    monkeypatch.setattr(SeedSpec, "generator", lambda self: seeded.append(self) or generator(self))
+    for rows in sorted({1, m}):
+        seeded.clear()
+        pieces = list(draw_chunks(spec, SeedSpec(3, 1), rows))
+        assert seeded == [SeedSpec(3, 1)]
+        assert [p.size for p in pieces[:-1]] == [CHUNK] * (len(pieces) - 1)
+        assert 0 < pieces[-1].size <= CHUNK
+        want = _bits(_whole_draw_reference(spec, SeedSpec(3, 1), rows))
+        np.testing.assert_array_equal(_bits(np.concatenate(pieces)), want)
+        np.testing.assert_array_equal(_bits(sample_iid(spec, SeedSpec(3, 1), rows=rows)), want)
+
+    seeded.clear()
+    reps = 2 * m + (m > 1)   # with several rows per block, the last is cut to one
+    got = {}
+    for_each_block(spec, reps, 5, 1, lambda first, pieces: got.update(
+        {first: np.concatenate(list(pieces))}))
+    blocks = -(-reps // m)
+    assert sorted(got) == [b * m for b in range(blocks)]
+    assert seeded == [SeedSpec(5, b) for b in range(blocks)]
+    for b in range(blocks):
+        want = _whole_draw_reference(spec, SeedSpec(5, b), m)[:reps - b * m]
+        np.testing.assert_array_equal(_bits(got[b * m]), _bits(want))
+
+
+@pytest.mark.parametrize("law", STREAM_SPECS, ids=lambda s: s.family)
+def test_draw_of_no_rows_is_empty(law):
+    spec = law.with_n(5)
+    assert [p.size for p in draw_chunks(spec, SeedSpec(0), rows=0)] == [0]
+    assert sample_iid(spec, SeedSpec(0), rows=0).shape == (0, 5)

@@ -14,6 +14,7 @@ from hrbounds.sequences import (
     compensated_cumsum,
     decompose,
     partial_sums,
+    prefix_sum_chunks,
 )
 
 
@@ -97,6 +98,69 @@ def test_compensated_cumsum_beats_naive_drift_on_long_arrays():
     assert abs(np.cumsum(y)[-1] - exact_y) > 1e-3
 
 
+def _twosum_loop_reference(xs):
+    """Compensated prefix sums one step at a time: the float sum p, TwoSum's
+    error of each step, the running sum of those errors, and p plus it."""
+    out, p, errors = [], 0.0, 0.0
+    for x in xs:
+        s = p + x
+        b = s - p
+        errors += (p - (s - b)) + (x - b)
+        p = s
+        out.append(p + errors)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 10_000, 10_001, 3 * 8192 + 5])
+def test_chunked_prefix_sums_are_the_whole_row_sums(n):
+    """Across chunk edges the carried totals give a one-pass sum's bits: a
+    plain cumsum up to n = 10**4, TwoSum compensation above, and always
+    for compensated_cumsum."""
+    x = np.random.default_rng(n).standard_cauchy(n) * 1e3
+    x[::7] = -0.0
+    compensated = _twosum_loop_reference(x)
+    plain = compensated if n > 10**4 else np.cumsum(x)
+    np.testing.assert_array_equal(partial_sums(x).view(np.uint64), plain.view(np.uint64))
+    np.testing.assert_array_equal(compensated_cumsum(x).view(np.uint64),
+                                  compensated.view(np.uint64))
+    u, v = decompose(x)
+    pos, neg = np.maximum(x, 0.0), np.maximum(-x, 0.0)
+    want = ((_twosum_loop_reference(pos), _twosum_loop_reference(neg)) if n > 10**4
+            else (np.cumsum(pos), np.cumsum(neg)))
+    for got, ref in zip((u, v), want):
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_prefix_sum_chunks_of_several_rows_restart_each_row():
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((3, 50))
+    x[:, 0] = -0.0   # a row starts from its first entry, not from 0.0 + it
+    [(row, col, s)] = list(prefix_sum_chunks([x.ravel()], 50))
+    assert (row, col) == (0, 0)
+    np.testing.assert_array_equal(s.view(np.uint64), np.cumsum(x, axis=1).view(np.uint64))
+
+    y = rng.standard_cauchy((2, 10_001))   # compensated rows, two chunks each
+    got = [(row, col, s[0].copy()) for row, col, s in
+           prefix_sum_chunks([c for r in y for c in (r[:8192], r[8192:])], 10_001)]
+    assert [(row, col) for row, col, _ in got] == [(0, 0), (0, 8192), (1, 0), (1, 8192)]
+    for r in range(2):
+        row_sums = np.concatenate([s for row, _, s in got if row == r])
+        np.testing.assert_array_equal(row_sums.view(np.uint64),
+                                      _twosum_loop_reference(y[r]).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [20_000, 9_000])
+def test_nonfinite_increment_in_a_later_chunk_reports_its_index(n):
+    x = np.ones(n)
+    x[8192 + 5] = np.inf
+    x[8192 + 9] = np.nan
+    with pytest.raises(DataError, match=r"index 8197\)") as err:
+        partial_sums(x)
+    assert err.value.index == 8192 + 5
+    with pytest.raises(DataError, match=r"index 8197\)"):
+        decompose(x)
+
+
 FAMILY_SPECS = [
     RandomSequenceSpec.rademacher(16),
     RandomSequenceSpec.gaussian(16, mu=0.5, sigma=2.0),
@@ -145,6 +209,19 @@ def test_batch_thread_count_does_not_change_values():
         b = TrajectoryBatch.generate(spec, reps, master_seed=9, threads=threads)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.s, b.s)
+
+
+def test_long_batch_rows_are_compensated_row_sums():
+    """Above n = 10**4 every row of s, u and v is its own compensated sum."""
+    spec = RandomSequenceSpec.alpha_stable(10_001, alpha=1.2, beta=0.5)
+    batch = TrajectoryBatch.generate(spec, 3, master_seed=2, threads=2)
+    for r in range(3):
+        x = sample_iid(spec, SeedSpec(2, r))
+        np.testing.assert_array_equal(batch.x[r], x)
+        for got, part in ((batch.s, x), (batch.u, np.maximum(x, 0.0)),
+                          (batch.v, np.maximum(-x, 0.0))):
+            want = _twosum_loop_reference(part)
+            np.testing.assert_array_equal(got[r].view(np.uint64), want.view(np.uint64))
 
 
 def test_batch_requires_positive_replications():

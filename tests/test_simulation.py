@@ -8,16 +8,18 @@ import pytest
 from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 
+from hrbounds import sequences
 from hrbounds.bounds import analytic_moment_profile, bound_theorem1
-from hrbounds.distributions import RandomSequenceSpec
+from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid
 from hrbounds.errors import (
+    DataError,
     DigestMismatchError,
     ParameterDomainError,
     EnumerationSizeError,
     HypothesisViolationError,
     ValidationError,
 )
-from hrbounds.sequences import TrajectoryBatch
+from hrbounds.sequences import TrajectoryBatch, block_rows, partial_sums
 from hrbounds.shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 from hrbounds.simulation import (
     MonteCarloEstimate,
@@ -441,3 +443,88 @@ def test_slln_deterministic():
     b = slln_trajectory(*args, seed=9)
     assert a.q95_abs_ratio == b.q95_abs_ratio
     assert a.median_phi_ratio == b.median_phi_ratio
+
+
+def _slln_reference(spec, phi, chi, w, n, reps, checkpoints, seed):
+    """The summaries row by row from whole n-length arrays, as slln_trajectory
+    first computed them: partial_sums, phi(S)/chi(b), |S|/b, window max()."""
+    b = w.materialize(n)
+    chib = chi(b)
+    m = block_rows(n)
+    phi_out = np.empty((reps, len(checkpoints)))
+    abs_out = np.empty((reps, len(checkpoints)))
+    for r in range(reps):
+        s = partial_sums(sample_iid(spec.with_n(n), SeedSpec(seed, r // m), rows=m)[r % m])
+        phi_ratio = phi(s) / chib
+        abs_ratio = np.abs(s) / b
+        for i, k in enumerate(checkpoints):
+            lo = max(k // 2, 1) - 1
+            phi_out[r, i] = phi_ratio[lo:k].max()
+            abs_out[r, i] = abs_ratio[lo:k].max()
+    return (np.median(phi_out, axis=0), np.quantile(phi_out, 0.95, axis=0),
+            np.median(abs_out, axis=0), np.quantile(abs_out, 0.95, axis=0))
+
+
+SLLN_LAWS = {
+    "gaussian": RandomSequenceSpec.gaussian(1, mu=0.1, sigma=2.0),
+    "stable-1.2": RandomSequenceSpec.alpha_stable(1, alpha=1.2),
+    "stable-1-skewed": RandomSequenceSpec.alpha_stable(1, alpha=1.0, beta=0.5),
+    "rademacher": RandomSequenceSpec.rademacher(1),
+    "point_mass": RandomSequenceSpec.point_mass(1, c=0.25),
+    "gaussian-overflow": RandomSequenceSpec.gaussian(1, sigma=1e307),
+}
+# n = 100: blocks of 81 rows, the last cut short; n = 20_000: compensated sums,
+# with windows that start and end at the chunk edges 8192 and 16_384.
+SLLN_HORIZONS = {
+    100: (200, (2, 50, 81, 100)),
+    5000: (5, (2, 100, 4097, 5000)),
+    20_000: (4, (2, 8192, 8193, 16_385, 20_000)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", sorted(SLLN_HORIZONS))
+@pytest.mark.parametrize("law", sorted(SLLN_LAWS))
+def test_slln_summaries_match_the_whole_row_reference(law, n, threads):
+    reps, cps = SLLN_HORIZONS[n]
+    spec = SLLN_LAWS[law].with_n(n)
+    phi, chi = ShapeFunction.abs_power(1.5), ScaleFunction.power(2.0, 1.3)
+    w = WeightSequence.power(0.9, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = slln_trajectory(spec, phi, chi, w, n, reps, cps, seed=11, threads=threads)
+        want = _slln_reference(spec, phi, chi, w, n, reps, cps, 11)
+    summaries = (got.median_phi_ratio, got.q95_phi_ratio,
+                 got.median_abs_ratio, got.q95_abs_ratio)
+    for g, ref in zip(summaries, want):
+        assert np.array(g).tobytes() == ref.tobytes()
+    if law == "gaussian-overflow" and n > 100:
+        # the partial sums overflow: a fold that dropped NaN would show here
+        assert np.isnan(summaries).any() and np.isinf(summaries).any()
+
+
+def test_slln_nonfinite_increment_reports_its_index(monkeypatch):
+    draw = sequences.draw_chunks
+
+    def with_nan(spec, seed, rows=1):
+        for lo, x in enumerate(draw(spec, seed, rows)):
+            if seed.block_index == 1 and lo == 1:
+                x[5] = np.nan
+            yield x
+
+    monkeypatch.setattr(sequences, "draw_chunks", with_nan)
+    w = WeightSequence.power(1.0, 20_000)
+    for threads in (1, 2):
+        with pytest.raises(DataError, match=r"index 8197\)") as err:
+            slln_trajectory(gaussian(20_000), PHI1, ScaleFunction.linear(1.0), w,
+                            20_000, 3, (100, 20_000), seed=0, threads=threads)
+        assert err.value.index == 8192 + 5
+
+
+@pytest.mark.parametrize("n,reps", [(100, 200), (20_000, 3)])
+def test_slln_overflowing_increments_raise_at_the_first_one(n, reps):
+    spec = RandomSequenceSpec.gaussian(n, sigma=1e308)  # |X| > 1.8e308 is inf
+    w = WeightSequence.power(1.0, n)
+    for threads in (1, 2):
+        with np.errstate(over="ignore"), pytest.raises(DataError, match=r"index 24\)"):
+            slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0), w, n, reps,
+                            (2, n), seed=1, threads=threads)
