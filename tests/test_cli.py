@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import hrbounds
 from hrbounds import cli
+from hrbounds._floatfmt import join
 from hrbounds.cli import PRESETS, ExperimentConfig, main, render_json
+from hrbounds.distributions import CHUNK
 from hrbounds.errors import ValidationError
 from hrbounds.sequences import TrajectoryBatch
 
@@ -212,6 +215,89 @@ def test_flat_float_lists_render_like_each_element(xs):
     assert render_json({"terms": xs}) == '{\n  "terms": ' + _per_element(xs, 1) + "\n}"
 
 
+def _corpus():
+    """Floats where a "%.17g" kernel can go wrong, and 10^6 random finite bit patterns."""
+    tens = np.array([float(f"1e{k}") for k in range(-308, 309)])
+    specials = [
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.225073858507201e-308,
+                  0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+        np.array([2.0 ** 53 - 2, 2.0 ** 53 + 2]),
+        np.nextafter([1e16, 1e16, 1e17, 1e17], [0.0, np.inf, 0.0, np.inf]),
+        # either side of the fixed/exponent switch, and exact ties at the 17th digit
+        np.array([np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0),
+                  2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, 2.0 ** -25]),
+    ]
+    xs = np.concatenate(specials)
+    bits = np.random.default_rng(20240613).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+    random = bits.view(np.float64)
+    return np.concatenate([xs, -xs]).tolist(), random[np.isfinite(random)].tolist()
+
+
+def test_long_float_lists_render_like_each_element_on_a_corpus():
+    specials, random = _corpus()
+    assert render_json(specials) == _per_element(specials)
+    assert render_json(random) == _per_element(random)
+    assert join(np.array(specials), ", ") == ", ".join("%.17g" % v for v in specials)
+
+
+@pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+def test_long_float_lists_render_exactly_where_log10_misses_the_exponent(monkeypatch, shift):
+    """A log10 off by 1e-12 puts E one off near every power of ten: the kernel must
+    then carry 10^17 into E + 1, or fall back, and still write every byte right."""
+    real = np.log10
+
+    def shifted(x, out=None):
+        y = real(x, out=out)
+        y += shift
+        return y
+
+    monkeypatch.setattr(np, "log10", shifted)
+    specials, _ = _corpus()
+    assert render_json(specials) == _per_element(specials)
+
+
+LONG_LENGTHS = [cli._FLOATFMT_MIN_LEN - 1, cli._FLOATFMT_MIN_LEN, CHUNK, CHUNK + 1]
+
+
+@given(n=st.sampled_from(LONG_LENGTHS), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_long_flat_float_lists_render_like_each_element(n, data):
+    xs = np.random.default_rng(n).lognormal(0.0, 20.0, size=n).tolist()
+    where = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1, min(n - 1, CHUNK)]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for i, v in data.draw(st.lists(st.tuples(where, finite), min_size=1, max_size=20)):
+        xs[i] = v
+    assert render_json(xs) == _per_element(xs)
+    assert render_json(tuple(xs)) == _per_element(xs)
+    assert render_json({"terms": xs}) == '{\n  "terms": ' + _per_element(xs, 1) + "\n}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, CHUNK + 5, 19_999])
+def test_non_finite_float_in_a_long_list_is_refused(bad, at):
+    xs = [0.5] * 20_000
+    xs[at] = bad
+    with pytest.raises(ValidationError, match="non-finite number in output"):
+        render_json(xs)
+
+
+def test_long_float_lists_render_without_a_whole_list_matrix():
+    xs = np.random.default_rng(5).lognormal(size=200_000).tolist()
+    render_json(xs)  # lookup tables are built once per process, outside the measurement
+
+    def peak(render):
+        tracemalloc.start()
+        try:
+            render(xs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(render_json) <= peak(_per_element)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_float_in_a_list_is_refused(bad):
     for xs in ([0.5, bad], (bad,), [1, bad], [np.float64(0.5), np.float64(bad)]):
@@ -239,11 +325,16 @@ def test_non_finite_term_ends_in_the_json_error(tmp_path, monkeypatch, capsys):
         return replace(report, terms=report.terms[:-1] + (math.nan,))
 
     monkeypatch.setattr(cli, "_compute_bound", with_nan_term)
-    code = run(["bound", "--scenario", "rademacher-oracle", "--out", str(tmp_path)],
-               monkeypatch, tmp_path)
-    assert code == 1
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "ValidationError", "message": "non-finite number in output"}
+    # a short report, then n = 20,000: three chunks of the vectorised renderer
+    long_cfg = write_config(tmp_path, {**BASE, "sequence": {**GAUSS_SEQ, "n": 20_000},
+                                       "kinds": ["theorem1", "rao", "amini"]})
+    for source in (["--scenario", "rademacher-oracle"], ["--config", long_cfg]):
+        out = tmp_path / source[0].strip("-")
+        code = run(["bound", *source, "--out", str(out)], monkeypatch, tmp_path)
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValidationError", "message": "non-finite number in output"}
+        assert not list(out.glob("*.json"))
 
 
 # ---------------------------------------------------------------------------
