@@ -58,22 +58,33 @@ _DRIFT_LIMIT = 0.10
 # moment profiles
 
 
-@dataclass(frozen=True)
+def _frozen_vector(vec, name: str) -> np.ndarray:
+    """A read-only 1-D float64 copy of ``vec``, so a caller's later writes do not reach it."""
+    arr = np.array(vec, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name}: expected a 1-D vector, got {arr.ndim} dimensions")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class MomentProfile:
     """Per-index moment data: E[phi(u_k)] and E[phi(v_k)].
 
-    Estimated profiles carry per-entry standard errors and the flag
-    ``non_integrable`` (running means failed to stabilize, so the expectations
-    are not trusted to exist).
+    The vectors are held as read-only 1-D float64 arrays, copied once from
+    whatever sequence the caller passes; ``==`` is identity, so compare the
+    vectors themselves.  Estimated profiles carry per-entry
+    standard errors and the flag ``non_integrable`` (running means failed to
+    stabilize, so the expectations are not trusted to exist).
     """
 
     n: int
-    e_phi_u: tuple[float, ...]
-    e_phi_v: tuple[float, ...]
+    e_phi_u: np.ndarray
+    e_phi_v: np.ndarray
     provenance: str = "analytic"
     replications: int | None = None
-    se_u: tuple[float, ...] | None = None
-    se_v: tuple[float, ...] | None = None
+    se_u: np.ndarray | None = None
+    se_v: np.ndarray | None = None
     non_integrable: bool = False
     max_rel_drift: float | None = None
     source: dict | None = None  # law descriptor of the increment sequence
@@ -81,11 +92,14 @@ class MomentProfile:
     def __post_init__(self):
         if self.provenance not in ("analytic", "estimated"):
             raise ValidationError(f"unknown provenance {self.provenance!r}")
-        for name in ("e_phi_u", "e_phi_v"):
+        for name in ("e_phi_u", "e_phi_v", "se_u", "se_v"):
             vec = getattr(self, name)
-            if len(vec) != self.n:
-                raise ValidationError(f"{name}: expected {self.n} entries, got {len(vec)}")
-            arr = np.asarray(vec, dtype=np.float64)
+            if vec is not None:
+                object.__setattr__(self, name, _frozen_vector(vec, name))
+        for name in ("e_phi_u", "e_phi_v"):
+            arr = getattr(self, name)
+            if arr.size != self.n:
+                raise ValidationError(f"{name}: expected {self.n} entries, got {arr.size}")
             if not self.non_integrable and not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name}: non-finite entry")
             if np.any(arr < 0):
@@ -100,9 +114,7 @@ class MomentProfile:
 
     def increments(self) -> np.ndarray:
         """Increments of E[phi(u_k)] + E[phi(v_k)] with the k=0 term zero."""
-        combined = np.asarray(self.e_phi_u, dtype=np.float64) + np.asarray(
-            self.e_phi_v, dtype=np.float64)
-        return np.diff(np.concatenate([[0.0], combined]))
+        return np.diff(self.e_phi_u + self.e_phi_v, prepend=0.0)
 
 
 # The parameter whose size can push a family's closed-form moments out of the
@@ -254,8 +266,8 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
 
     return MomentProfile(
         n=n,
-        e_phi_u=tuple(np.atleast_1d(e_u).tolist()),
-        e_phi_v=tuple(np.atleast_1d(e_v).tolist()),
+        e_phi_u=e_u,
+        e_phi_v=e_v,
         provenance="analytic",
         source=spec.law(),
     )
@@ -320,12 +332,12 @@ def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
         raise _out_of_range(target, phi, "estimated phi means")
     return MomentProfile(
         n=target.n,
-        e_phi_u=tuple(profile["u"][0].tolist()),
-        e_phi_v=tuple(profile["v"][0].tolist()),
+        e_phi_u=profile["u"][0],
+        e_phi_v=profile["v"][0],
         provenance="estimated",
         replications=replications,
-        se_u=tuple(profile["u"][1].tolist()),
-        se_v=tuple(profile["v"][1].tolist()),
+        se_u=profile["u"][1],
+        se_v=profile["v"][1],
         non_integrable=non_integrable,
         max_rel_drift=drift,
         source=target.law(),
@@ -336,11 +348,12 @@ def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
 # bound reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     """One evaluated inequality.
 
-    ``terms`` are the per-index contributions: lower bounds reconstruct as
+    ``terms`` are the per-index contributions, a read-only 1-D float64 array
+    copied once (``==`` is identity): lower bounds reconstruct as
     raw_value = 1 - sum(terms), upper bounds as raw_value = sum(terms).
     ``value`` is raw_value clamped to [0, 1].  ``inputs_digest`` hashes the
     event the bound constrains (law, shape, scale, weights, horizon), so a
@@ -350,7 +363,7 @@ class BoundReport:
     bound_kind: str
     value: float
     raw_value: float
-    terms: tuple[float, ...]
+    terms: np.ndarray
     hypotheses_checked: tuple[tuple[str, bool], ...]
     inputs_digest: str
     event: dict = field(repr=False, default_factory=dict)
@@ -358,6 +371,7 @@ class BoundReport:
     def __post_init__(self):
         if self.bound_kind not in BOUND_KINDS:
             raise ValidationError(f"unknown bound kind {self.bound_kind!r}")
+        object.__setattr__(self, "terms", _frozen_vector(self.terms, "terms"))
 
     @property
     def direction(self) -> str:
@@ -377,7 +391,7 @@ class BoundReport:
             "direction": self.direction,
             "value": self.value,
             "raw_value": self.raw_value,
-            "terms": list(self.terms),
+            "terms": self.terms,
             "hypotheses_checked": [[name, ok] for name, ok in self.hypotheses_checked],
             "inputs_digest": self.inputs_digest,
             "event": self.event,
@@ -423,7 +437,7 @@ def bound_theorem1(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
         bound_kind="theorem1_lower",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(terms.tolist()),
+        terms=terms,
         hypotheses_checked=hypotheses,
         inputs_digest=digest_of(payload),
         event=payload,
@@ -462,7 +476,7 @@ def bound_rao(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
         bound_kind="rao_lower",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(terms.tolist()),
+        terms=terms,
         hypotheses_checked=(
             ("moments_nondecreasing", True),
             ("informative", raw > 0.0),
@@ -507,7 +521,7 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
         bound_kind="hajek_renyi_upper",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(terms.tolist()),
+        terms=terms,
         hypotheses_checked=(
             ("second_moments_finite", True),
             ("informative", raw < 1.0),
@@ -547,7 +561,7 @@ def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,
         bound_kind="amini_upper",
         value=_clamp01(raw),
         raw_value=raw,
-        terms=tuple(terms.tolist()),
+        terms=terms,
         hypotheses_checked=(
             ("sigma_nonnegative", True),
             ("informative", raw < 1.0),

@@ -20,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +69,10 @@ _MAX_SIZE = 2 ** 28
 # ---------------------------------------------------------------------------
 # deterministic JSON/CSV rendering (17 significant digits on every float)
 
-# Flat float lists at least this long are rendered by the vectorised
-# ``_floatfmt.join`` (same bytes); shorter ones element by element, where
-# the kernel's fixed cost of about 0.1 ms would not pay off.
+# Float vectors (1-D float64 arrays, or flat lists of floats) at least this
+# long are rendered by the vectorised ``_floatfmt.join`` (same bytes);
+# shorter ones element by element, where the kernel's fixed cost of about
+# 0.1 ms would not pay off.
 _FLOATFMT_MIN_LEN = 512
 
 
@@ -101,21 +102,26 @@ def render_json(obj, _depth: int = 0) -> str:
             f"{npad}{json.dumps(str(k))}: {render_json(v, _depth + 1)}"
             for k, v in obj.items())
         return f"{{\n{items}\n{pad}}}"  # one copy of items, not one per "+"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 1 or obj.dtype != np.float64:
+            raise ValidationError(f"cannot render a {obj.ndim}-D {obj.dtype} array as JSON")
+        if obj.size < _FLOATFMT_MIN_LEN:
+            return render_json(obj.tolist(), _depth)
+        if not np.isfinite(obj).all():
+            raise ValidationError("non-finite number in output")
+        from . import _floatfmt  # on first use, so `import hrbounds.cli` stays as fast
+        items = _floatfmt.join(obj, ",\n" + npad)
+        return f"[\n{npad}{items}\n{pad}]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         sep = ",\n" + npad
         if set(map(type, obj)) == {float}:  # one flat pass: "%.17g" is format(v, ".17g")
-            if len(obj) < _FLOATFMT_MIN_LEN:
-                if not all(map(math.isfinite, obj)):
-                    raise ValidationError("non-finite number in output")
-                items = sep.join(map("%.17g".__mod__, obj))
-            else:
-                from . import _floatfmt  # on first use, so `import hrbounds.cli` stays as fast
-                a = np.fromiter(obj, np.float64, len(obj))
-                if not np.isfinite(a).all():
-                    raise ValidationError("non-finite number in output")
-                items = _floatfmt.join(a, sep)
+            if len(obj) >= _FLOATFMT_MIN_LEN:
+                return render_json(np.fromiter(obj, np.float64, len(obj)), _depth)
+            if not all(map(math.isfinite, obj)):
+                raise ValidationError("non-finite number in output")
+            items = sep.join(map("%.17g".__mod__, obj))
         else:
             items = sep.join(render_json(v, _depth + 1) for v in obj)
         return f"[\n{npad}{items}\n{pad}]"
@@ -737,8 +743,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process (building costs about 1 ms).
+
+    Reuse is safe because ``parse_args`` fills a fresh namespace on every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
         out = resolve_out_dir(args, cfg)

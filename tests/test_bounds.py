@@ -1,6 +1,7 @@
 """Bound calculators against worked values, algebraic identities, and oracles."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,12 +48,19 @@ def nondecreasing_moments(draw_min=0.0):
         lambda incs: tuple(float(x) for x in np.cumsum(incs)))
 
 
+def same_profile(a: MomentProfile, b: MomentProfile) -> bool:
+    """Field by field, vectors compared by their float64 bytes."""
+    def key(v):
+        return v.tobytes() if isinstance(v, np.ndarray) else v
+    return all(key(getattr(a, f.name)) == key(getattr(b, f.name)) for f in fields(a))
+
+
 class TestTheorem1:
     def test_worked_two_step_sign_example(self):
         # E[u_k] = E[v_k] = k/2; chi(b_k) = 10k; K = 1:
         # raw = 1 - 2*[(1/2+1/2)/10 + (1/2+1/2)/20] = 0.7
         mp = analytic_moment_profile(RADEMACHER2, PHI1)
-        assert mp.e_phi_u == (0.5, 1.0)
+        np.testing.assert_array_equal(mp.e_phi_u, [0.5, 1.0])
         rep = bound_theorem1(PHI1, ScaleFunction.linear(10.0),
                              WeightSequence.power(1.0, 2), mp)
         assert rep.bound_kind == "theorem1_lower"
@@ -229,18 +237,18 @@ class TestMomentProfiles:
     def test_point_mass_zero_profile(self):
         spec = RandomSequenceSpec("point_mass", 4, (("c", 0.0),))
         mp = estimate_moment_profile(spec, PHI1, replications=200, seed=0)
-        assert mp.e_phi_u == (0.0,) * 4 and mp.e_phi_v == (0.0,) * 4
-        assert mp.se_u == (0.0,) * 4
+        np.testing.assert_array_equal(mp.e_phi_u, np.zeros(4))
+        np.testing.assert_array_equal(mp.e_phi_v, np.zeros(4))
+        np.testing.assert_array_equal(mp.se_u, np.zeros(4))
 
     def test_supplied_batch_gives_the_same_profile(self):
         spec = GAUSS(6)
         alone = estimate_moment_profile(spec, PHI1, replications=500, seed=4)
         exact_fit = TrajectoryBatch.generate(spec, 500, 4)
         more_rows = TrajectoryBatch.generate(spec, 800, 4)
-        assert estimate_moment_profile(spec, PHI1, replications=500, seed=4,
-                                       batch=exact_fit) == alone
-        assert estimate_moment_profile(spec, PHI1, replications=500, seed=4,
-                                       batch=more_rows) == alone
+        for batch in (exact_fit, more_rows):
+            assert same_profile(estimate_moment_profile(spec, PHI1, replications=500,
+                                                        seed=4, batch=batch), alone)
 
     def test_supplied_batch_is_validated(self):
         spec = GAUSS(6)
@@ -257,8 +265,8 @@ class TestMomentProfiles:
     def test_point_mass_analytic_any_exponent(self):
         spec = RandomSequenceSpec("point_mass", 3, (("c", -2.0),))
         mp = analytic_moment_profile(spec, ShapeFunction.abs_power(3.0))
-        assert mp.e_phi_u == (0.0, 0.0, 0.0)
-        assert mp.e_phi_v == (8.0, 64.0, 216.0)
+        np.testing.assert_array_equal(mp.e_phi_u, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(mp.e_phi_v, [8.0, 64.0, 216.0])
 
     def test_rademacher_estimated_linear_growth(self):
         """E[u_k] = k/2 for sign increments; 1e5 replications, 4 se."""
@@ -323,6 +331,47 @@ class TestMomentProfiles:
     def test_replication_floor(self):
         with pytest.raises(ValidationError):
             estimate_moment_profile(GAUSS(2), PHI1, replications=99, seed=0)
+
+
+class TestVectorsAreFrozenArrays:
+    def test_profile_vectors_are_read_only_copies(self):
+        us, vs, se = [0.5, 1.0, 1.5], np.array([0.0, 0.25, 0.5]), np.array([0.1, 0.1, 0.1])
+        mp = MomentProfile(n=3, e_phi_u=us, e_phi_v=vs, provenance="estimated",
+                           replications=100, se_u=se, se_v=se)
+        us[0], vs[0], se[0] = 9.0, 9.0, 9.0
+        for name, want in (("e_phi_u", [0.5, 1.0, 1.5]), ("e_phi_v", [0.0, 0.25, 0.5]),
+                           ("se_u", [0.1] * 3), ("se_v", [0.1] * 3)):
+            vec = getattr(mp, name)
+            assert vec.dtype == np.float64 and vec.ndim == 1 and not vec.flags.writeable
+            np.testing.assert_array_equal(vec, want)
+            with pytest.raises(ValueError):
+                vec[0] = 2.0
+
+    def test_computed_profiles_hold_read_only_arrays(self):
+        for mp in (analytic_moment_profile(GAUSS(5), PHI1),
+                   estimate_moment_profile(GAUSS(5), PHI1, replications=200, seed=0)):
+            for vec in (mp.e_phi_u, mp.e_phi_v):
+                assert vec.dtype == np.float64 and vec.shape == (5,)
+                assert not vec.flags.writeable
+
+    def test_report_terms_are_a_read_only_copy(self):
+        w = WeightSequence.power(1.0, 3)
+        sigma = np.array([1.0, 1.0, 1.0])
+        reports = [bound_amini(sigma, w, 3, 2.0),
+                   bound_rao(PHI1, ScaleFunction.linear(10.0), w, (0.5, 1.0, 1.5)),
+                   bound_theorem1(PHI1, ScaleFunction.linear(10.0), w,
+                                  analytic_moment_profile(RandomSequenceSpec("rademacher", 3),
+                                                          PHI1))]
+        for rep in reports:
+            assert rep.terms.dtype == np.float64 and rep.terms.shape == (3,)
+            assert not rep.terms.flags.writeable
+            assert rep.to_dict()["terms"] is rep.terms
+        terms = [0.25, 0.5]
+        rep = replace(reports[0], terms=terms)
+        terms[0] = 9.0
+        np.testing.assert_array_equal(rep.terms, [0.25, 0.5])
+        with pytest.raises(ValidationError, match="1-D"):
+            replace(reports[0], terms=np.zeros((2, 2)))
 
 
 class TestSeriesCheck:

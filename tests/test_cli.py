@@ -283,6 +283,50 @@ def test_non_finite_float_in_a_long_list_is_refused(bad, at):
         render_json(xs)
 
 
+ARRAY_LENGTHS = [0, 1, cli._FLOATFMT_MIN_LEN - 1, cli._FLOATFMT_MIN_LEN, CHUNK, CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", ARRAY_LENGTHS)
+def test_float_arrays_render_like_their_lists(n):
+    a = np.random.default_rng(n).lognormal(0.0, 20.0, size=n)
+    assert render_json(a) == render_json(a.tolist())
+    assert render_json({"terms": a}) == render_json({"terms": a.tolist()})
+
+
+@given(n=st.sampled_from(ARRAY_LENGTHS), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_arrays_render_like_their_lists_at_any_values(n, data):
+    a = np.random.default_rng(n).normal(size=n)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if n:
+        for i, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=20)):
+            a[i] = v
+    assert render_json(a) == render_json(a.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, CHUNK + 5, 19_999])
+def test_non_finite_entry_in_a_long_array_is_refused(bad, at):
+    a = np.full(20_000, 0.5)
+    a[at] = bad
+    with pytest.raises(ValidationError, match="non-finite number in output"):
+        render_json(a)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 600)), np.arange(600), np.zeros(3, np.float32)])
+def test_only_1d_float64_arrays_render(tmp_path, monkeypatch, capsys, bad):
+    with pytest.raises(ValidationError, match="cannot render a"):
+        render_json(bad)
+    real = cli._envelope
+    monkeypatch.setattr(cli, "_envelope", lambda cfg, payload: {**real(cfg, payload), "x": bad})
+    code = run(["bound", "--scenario", "rademacher-oracle", "--out", str(tmp_path)],
+               monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError",
+        "message": f"cannot render a {bad.ndim}-D {bad.dtype} array as JSON"}
+
+
 def test_long_float_lists_render_without_a_whole_list_matrix():
     xs = np.random.default_rng(5).lognormal(size=200_000).tolist()
     render_json(xs)  # lookup tables are built once per process, outside the measurement
@@ -322,7 +366,7 @@ def test_non_finite_term_ends_in_the_json_error(tmp_path, monkeypatch, capsys):
 
     def with_nan_term(kind, cfg, draws):
         report = real(kind, cfg, draws)
-        return replace(report, terms=report.terms[:-1] + (math.nan,))
+        return replace(report, terms=np.append(report.terms[:-1], math.nan))
 
     monkeypatch.setattr(cli, "_compute_bound", with_nan_term)
     # a short report, then n = 20,000: three chunks of the vectorised renderer
@@ -496,6 +540,18 @@ def test_bound_kind_flag_overrides_config(tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "bound_rao.json").exists()
     assert not (tmp_path / "bound_theorem1.json").exists()
+
+
+def test_kind_flag_does_not_outlive_its_command(tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    built = count_calls(monkeypatch, cli, "build_parser")
+    for argv, out in ((["--kind", "rao"], tmp_path / "rao"), ([], tmp_path / "all")):
+        assert run(["bound", "--scenario", "rademacher-oracle", *argv, "--out", str(out)],
+                   monkeypatch, tmp_path) == 0
+    assert len(built) == 1
+    assert sorted(p.name for p in (tmp_path / "rao").iterdir()) == ["bound_rao.json"]
+    assert sorted(p.name for p in (tmp_path / "all").iterdir()) == [
+        "bound_rao.json", "bound_theorem1.json"]
 
 
 def test_config_and_scenario_are_mutually_exclusive(tmp_path, monkeypatch, capsys):
