@@ -27,7 +27,7 @@ def digest_of(payload) -> str:
 
 def _weights_form(w: WeightSequence, n: int) -> str:
     """Hex SHA-256 of b_1..b_n as little-endian float64 bytes."""
-    return hashlib.sha256(weights_materialize(w, n).astype("<f8").tobytes()).hexdigest()
+    return hashlib.sha256(weights_materialize(w, n).astype("<f8", copy=False)).hexdigest()
 
 
 def event_a_n(law: dict | None, phi: ShapeFunction, chi: ScaleFunction,

@@ -1,8 +1,10 @@
 """Exact ``"%.17g"`` text of a float64 array, computed a chunk at a time.
 
 ``join(a, sep)`` returns ``sep.join("%.17g" % v for v in a)`` byte for byte,
-at a fraction of the per-element cost.  It works through
-``distributions.CHUNK`` entries at a time in reused work buffers:
+at a fraction of the per-element cost; ``pieces(a, sep)`` yields the same
+text one chunk at a time, for a caller that writes it without joining.  It
+works through ``distributions.CHUNK`` entries at a time in reused work
+buffers:
 
 1. E = floor(log10|x|), and y = |x| * 10^(16 - E) as a double-double
    product of x with a table of 10^k, each entry a correctly rounded
@@ -187,16 +189,21 @@ def join(a, sep: str) -> str:
     """``sep.join("%.17g" % v for v in a)`` for a 1-D float64 array ``a``.
 
     ``sep`` is ASCII without NUL bytes."""
+    return "".join(pieces(a, sep))
+
+
+def pieces(a, sep: str):
+    """Yield ``join(a, sep)`` in consecutive pieces, one per chunk of ``a``:
+    the first without a leading ``sep``, every later one starting with it."""
     a = np.asarray(a, dtype=np.float64).ravel()
     if a.size == 0:
-        return ""
+        return
     *_, lead, affix, quad = _tables()
     sepb = sep.encode("ascii")
     s = len(sepb)
     m = min(a.size, CHUNK)
     w = _Work(m, sepb)
     width = w.rows.shape[1]
-    pieces = []
     for lo in range(0, a.size, m):
         x = a[lo:lo + m]
         k = x.size
@@ -249,7 +256,6 @@ def join(a, sep: str) -> str:
             np.put(w.rows, at_text, np.frombuffer("".join(texts).encode("ascii"), np.uint8))
         w.rows[k:] = 0  # the last chunk may be short
         text = w.raw.translate(None, b"\0").decode("ascii")
-        pieces.append(text[s:] if lo == 0 else text)
         np.put(w.rows, at, 0, mode="clip")
         ent[bad] = 0
-    return "".join(pieces)
+        yield text[s:] if lo == 0 else text

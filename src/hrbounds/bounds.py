@@ -24,13 +24,14 @@ are refused by the bound evaluators rather than silently used.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._digest import digest_of, event_a_n, event_max_ratio
-from .distributions import RandomSequenceSpec
+from .distributions import CHUNK, RandomSequenceSpec
 from .errors import (
     AnalyticProfileUnavailable,
     DataError,
@@ -378,7 +379,7 @@ class BoundReport:
         return "lower" if self.bound_kind.endswith("_lower") else "upper"
 
     def reconstruct_raw(self) -> float:
-        s = math.fsum(self.terms)
+        s = _fsum(self.terms)
         return 1.0 - s if self.direction == "lower" else s
 
     @property
@@ -396,6 +397,14 @@ class BoundReport:
             "inputs_digest": self.inputs_digest,
             "event": self.event,
         }
+
+
+def _fsum(a: np.ndarray) -> float:
+    """``math.fsum`` of a float64 array, read as Python floats a chunk at a time:
+    iterating the array would make a numpy scalar per entry, and one ``tolist``
+    would hold the whole vector as float objects at once."""
+    return math.fsum(itertools.chain.from_iterable(
+        a[i:i + CHUNK].tolist() for i in range(0, a.size, CHUNK)))
 
 
 def _clamp01(x: float) -> float:
@@ -426,7 +435,7 @@ def bound_theorem1(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
     cert = subadditivity_constant(phi)
     b = w.materialize(mp.n)
     terms = 2.0 * cert.K * inc / chi(b)
-    raw = 1.0 - math.fsum(terms)
+    raw = 1.0 - _fsum(terms)
     hypotheses = (
         ("well_defined", True),
         ("moments_nondecreasing", True),
@@ -470,7 +479,7 @@ def bound_rao(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
     n = e.size
     b = w.materialize(n)
     terms = inc / chi(b)
-    raw = 1.0 - math.fsum(terms)
+    raw = 1.0 - _fsum(terms)
     payload = event_a_n(source, phi, chi, w, n, process=process)
     return BoundReport(
         bound_kind="rao_lower",
@@ -515,7 +524,7 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
     terms = np.empty(n, dtype=np.float64)
     terms[:m] = e[:m] / (epsilon ** 2 * b[m - 1] ** 2)
     terms[m:] = e[m:n] / (epsilon ** 2 * b[m:] ** 2)
-    raw = math.fsum(terms)
+    raw = _fsum(terms)
     payload = event_max_ratio(source, w, m, n, epsilon, sided)
     return BoundReport(
         bound_kind="hajek_renyi_upper",
@@ -555,7 +564,7 @@ def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,
     b = w.materialize(n)
     head = np.concatenate([[0.0], np.cumsum(s)[:-1]])  # sigma_1 + .. + sigma_{k-1}
     terms = (8.0 / epsilon ** 2) * s ** 2 / b ** 2 + 2.0 * s * head / b ** 2
-    raw = math.fsum(terms)
+    raw = _fsum(terms)
     payload = event_max_ratio(source, w, 1, n, epsilon, "abs")
     return BoundReport(
         bound_kind="amini_upper",
@@ -653,8 +662,8 @@ def slln_series_check(s: SLLNSeriesSpec, horizon: int,
     if np.any(b <= 0):
         raise ValidationError("weights must be strictly positive")
     delta = s.alphas(horizon) * b ** (-float(s.r))
-    total = math.fsum(delta)
-    tail = math.fsum(delta[-tail_window:])
+    total = _fsum(delta)
+    tail = _fsum(delta[-tail_window:])
 
     if total == 0.0:
         verdict = "converging"

@@ -42,7 +42,7 @@ from .bounds import (
 from .distributions import RandomSequenceSpec
 from .errors import AnalyticProfileUnavailable, HRBoundsError, NonIntegrabilityError, ValidationError
 from .sequences import TrajectoryBatch
-from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
+from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, release_weights
 from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
@@ -70,7 +70,7 @@ _MAX_SIZE = 2 ** 28
 # deterministic JSON/CSV rendering (17 significant digits on every float)
 
 # Float vectors (1-D float64 arrays, or flat lists of floats) at least this
-# long are rendered by the vectorised ``_floatfmt.join`` (same bytes);
+# long are rendered by the vectorised ``_floatfmt.pieces`` (same bytes);
 # shorter ones element by element, where the kernel's fixed cost of about
 # 0.1 ms would not pay off.
 _FLOATFMT_MIN_LEN = 512
@@ -83,49 +83,75 @@ def _fmt(v) -> str:
     return format(v, ".17g")
 
 
-def render_json(obj, _depth: int = 0) -> str:
-    pad, npad = "  " * _depth, "  " * (_depth + 1)
+def render_json(obj) -> str:
+    out: list[str] = []
+    _render(obj, 0, out)
+    return "".join(out)
+
+
+def _render(obj, depth: int, out: list[str]) -> None:
+    """Append the JSON text of ``obj``, indented at ``depth``, to ``out``.
+
+    Brackets, separators and key prefixes are pieces of their own, and a long
+    float vector adds the kernel's per-chunk pieces, so no level copies the
+    text of the levels below it.
+    """
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{npad}{json.dumps(str(k))}: {render_json(v, _depth + 1)}"
-            for k, v in obj.items())
-        return f"{{\n{items}\n{pad}}}"  # one copy of items, not one per "+"
-    if isinstance(obj, np.ndarray):
+            out.append("{}")
+            return
+        npad = "  " * (depth + 1)
+        sep = "{\n" + npad
+        for k, v in obj.items():
+            out.append(f"{sep}{json.dumps(str(k))}: ")
+            _render(v, depth + 1, out)
+            sep = ",\n" + npad
+        out.append("\n" + "  " * depth + "}")
+    elif isinstance(obj, np.ndarray):
         if obj.ndim != 1 or obj.dtype != np.float64:
             raise ValidationError(f"cannot render a {obj.ndim}-D {obj.dtype} array as JSON")
         if obj.size < _FLOATFMT_MIN_LEN:
-            return render_json(obj.tolist(), _depth)
+            _render(obj.tolist(), depth, out)
+            return
         if not np.isfinite(obj).all():
             raise ValidationError("non-finite number in output")
         from . import _floatfmt  # on first use, so `import hrbounds.cli` stays as fast
-        items = _floatfmt.join(obj, ",\n" + npad)
-        return f"[\n{npad}{items}\n{pad}]"
-    if isinstance(obj, (list, tuple)):
+        npad = "  " * (depth + 1)
+        out.append("[\n" + npad)
+        out.extend(_floatfmt.pieces(obj, ",\n" + npad))
+        out.append("\n" + "  " * depth + "]")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
+        npad = "  " * (depth + 1)
         sep = ",\n" + npad
         if set(map(type, obj)) == {float}:  # one flat pass: "%.17g" is format(v, ".17g")
             if len(obj) >= _FLOATFMT_MIN_LEN:
-                return render_json(np.fromiter(obj, np.float64, len(obj)), _depth)
+                _render(np.fromiter(obj, np.float64, len(obj)), depth, out)
+                return
             if not all(map(math.isfinite, obj)):
                 raise ValidationError("non-finite number in output")
-            items = sep.join(map("%.17g".__mod__, obj))
+            out.append(f"[\n{npad}{sep.join(map('%.17g'.__mod__, obj))}")
         else:
-            items = sep.join(render_json(v, _depth + 1) for v in obj)
-        return f"[\n{npad}{items}\n{pad}]"
-    raise ValidationError(f"cannot render {type(obj).__name__} as JSON")
+            start = "[\n" + npad
+            for v in obj:
+                out.append(start)
+                _render(v, depth + 1, out)
+                start = sep
+        out.append("\n" + "  " * depth + "]")
+    else:
+        raise ValidationError(f"cannot render {type(obj).__name__} as JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +506,16 @@ def _envelope(cfg: ExperimentConfig, payload: dict) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    text = render_json(payload)
-    with path.open("w") as fh:  # two writes: a report of 10^5 terms is not copied for "\n"
-        fh.write(text)
-        fh.write("\n")
+    """Write ``render_json(payload)`` and a newline to ``path``, piece by piece.
+
+    The whole payload is rendered before the file is opened, so a value that
+    cannot be rendered (a NaN, say) leaves no file behind.
+    """
+    pieces: list[str] = []
+    _render(payload, 0, pieces)
+    pieces.append("\n")
+    with path.open("w") as fh:
+        fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +793,8 @@ def main(argv=None) -> int:
     except (HRBoundsError, IndexError, ArithmeticError, MemoryError) as exc:
         print(render_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1
+    finally:
+        release_weights()
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ chi must be positive nondecreasing on b > 0; the weights must satisfy
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,22 +204,35 @@ def chi_eval(chi: ScaleFunction, b):
 
 
 def weights_materialize(w: WeightSequence, n: int | None = None) -> np.ndarray:
-    """Concrete b_1..b_n.
+    """Concrete b_1..b_n, as a read-only array.
 
     ``n`` overrides the declared length for the kind-based sequences (the
-    rule extends naturally); a custom list cannot be extended.
+    rule extends naturally); a custom list cannot be extended.  The last
+    (w, n) built is kept until `release_weights`, so the bounds and event
+    digests of one command share one array instead of building it once each.
     """
     n = int(w.n if n is None else n)
     if n < 1:
         raise ValidationError("weight sequence length must be positive")
-    k = np.arange(1, n + 1, dtype=np.float64)
-    if w.kind == "power":
-        return k ** w.beta
-    if w.kind == "log":
-        return np.log(k + 1.0)
-    if n > len(w.values):
-        raise ValidationError(f"custom weights: only {len(w.values)} values, {n} requested")
-    return np.asarray(w.values[:n], dtype=np.float64)
+    return _weights(w, n)
+
+
+@lru_cache(maxsize=1)
+def _weights(w: WeightSequence, n: int) -> np.ndarray:
+    if w.kind == "custom":
+        if n > len(w.values):
+            raise ValidationError(f"custom weights: only {len(w.values)} values, {n} requested")
+        b = np.array(w.values[:n], dtype=np.float64)
+    else:
+        k = np.arange(1, n + 1, dtype=np.float64)
+        b = k ** w.beta if w.kind == "power" else np.log(k + 1.0)
+    b.setflags(write=False)
+    return b
+
+
+def release_weights() -> None:
+    """Drop the kept b_1..b_n, so that it does not outlive the command that used it."""
+    _weights.cache_clear()
 
 
 def subadditivity_constant(phi: ShapeFunction) -> SubadditivityCertificate:

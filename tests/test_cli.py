@@ -1,6 +1,7 @@
 """Command line contract: configs, exit codes, file outputs, reproducibility."""
 
 import copy
+import functools
 import json
 import math
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import hrbounds
-from hrbounds import cli
+from hrbounds import cli, shape_functions
 from hrbounds._floatfmt import join
 from hrbounds.cli import PRESETS, ExperimentConfig, main, render_json
 from hrbounds.distributions import CHUNK
@@ -381,6 +382,54 @@ def test_non_finite_term_ends_in_the_json_error(tmp_path, monkeypatch, capsys):
         assert not list(out.glob("*.json"))
 
 
+def _report_payload(terms) -> dict:
+    return {"scenario": "write", "master_seed": 3,
+            "report": {"bound_kind": "rao_lower", "value": 0.25, "terms": terms,
+                       "hypotheses_checked": [["informative", True]],
+                       "event": {"weights": "ab", "n": len(terms)}},
+            "exact": None, "verdicts": {}}
+
+
+@pytest.mark.parametrize("n", [0, cli._FLOATFMT_MIN_LEN - 1, cli._FLOATFMT_MIN_LEN,
+                               CHUNK, CHUNK + 1, 100_000])
+def test_written_report_is_render_json_and_a_newline(tmp_path, n):
+    payload = _report_payload(np.random.default_rng(n).lognormal(0.0, 20.0, size=n))
+    path = tmp_path / "report.json"
+    cli._write_json(path, payload)
+    assert path.read_bytes() == (render_json(payload) + "\n").encode("ascii")
+
+
+def test_nan_after_a_long_array_writes_no_report(tmp_path, monkeypatch, capsys):
+    """Every piece is rendered before the file is opened: a NaN in the last key,
+    after 20,000 terms have been rendered, still leaves no file behind."""
+    real = cli._envelope
+    monkeypatch.setattr(cli, "_envelope",
+                        lambda cfg, payload: {**real(cfg, payload), "after": math.nan})
+    cfg = write_config(tmp_path, {**BASE, "sequence": {**GAUSS_SEQ, "n": 20_000},
+                                  "kinds": ["rao"]})
+    out = tmp_path / "out"
+    assert run(["bound", "--config", cfg, "--out", str(out)], monkeypatch, tmp_path) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError", "message": "non-finite number in output"}
+    assert not list(out.iterdir())
+
+
+def test_writing_a_long_report_holds_no_report_sized_copies(tmp_path):
+    """The pieces of the text are about the file's size; on top of them come the
+    kernel's reused work buffers (about 1.7 MB) and one chunk's text, but no
+    joined, wrapped or encoded copy of the whole report."""
+    payload = _report_payload(np.random.default_rng(7).lognormal(-10.0, 1.0, size=100_000))
+    path = tmp_path / "report.json"
+    cli._write_json(path, payload)  # lookup tables are built once, outside the measurement
+    tracemalloc.start()
+    try:
+        cli._write_json(path, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * path.stat().st_size
+
+
 # ---------------------------------------------------------------------------
 # bound command
 
@@ -532,6 +581,22 @@ def test_bound_with_analytic_profile_draws_nothing(tmp_path, monkeypatch):
                 "--out", str(tmp_path)], monkeypatch, tmp_path)
     assert code == 0
     assert len(profiles) == 1 and generated == []
+
+
+def test_bound_builds_its_weights_once_for_all_kinds(tmp_path, monkeypatch):
+    """Four bounds and their four event digests share one b_1..b_n, and the
+    array is released when the command ends."""
+    built = []
+    build = shape_functions._weights.__wrapped__
+    monkeypatch.setattr(shape_functions, "_weights", functools.lru_cache(maxsize=1)(
+        lambda w, n: built.append(n) or build(w, n)))
+    cfg = dict(BASE, kinds=["theorem1", "rao", "classic", "amini"], epsilon=1.0,
+               weights={"kind": "power", "beta": 0.75})
+    code = run(["bound", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    assert built == [16]
+    assert shape_functions._weights.cache_info().currsize == 0
 
 
 def test_bound_kind_flag_overrides_config(tmp_path, monkeypatch):

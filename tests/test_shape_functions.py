@@ -9,6 +9,7 @@ from hrbounds.shape_functions import (
     SubadditivityCertificate,
     WeightSequence,
     subadditivity_constant,
+    weights_materialize,
 )
 
 
@@ -124,6 +125,17 @@ def test_materialize_can_truncate_but_not_extend_custom():
     assert len(w.materialize(2)) == 2
     with pytest.raises(ValidationError):
         w.materialize(5)
+
+
+def test_materialized_weights_are_read_only_and_shared():
+    w = WeightSequence.power(0.5, 8)
+    b = w.materialize()
+    assert not b.flags.writeable
+    assert weights_materialize(w, 8) is b
+    with pytest.raises(ValueError):
+        b[0] = 2.0
+    np.testing.assert_array_equal(w.materialize(3), b[:3])
+    np.testing.assert_array_equal(WeightSequence.power(0.5, 8).materialize(), b)
 
 
 @given(st.floats(min_value=0.1, max_value=3.0), st.integers(min_value=1, max_value=64))
