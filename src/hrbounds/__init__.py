@@ -58,7 +58,7 @@ from .simulation import (
     verify_bound,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BOUND_KINDS",

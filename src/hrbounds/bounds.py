@@ -624,63 +624,53 @@ class SLLNSeriesSpec:
 @dataclass(frozen=True)
 class SLLNSeriesReport:
     partial_sum: float
-    tail_increment: float
+    tail_bound: float | None  # bound on the sum past the horizon; None unless converging
     verdict: str  # converging | diverging | inconclusive
     horizon: int
-    tail_window: int
     c: float
 
     def to_dict(self) -> dict:
         return {
             "partial_sum": self.partial_sum,
-            "tail_increment": self.tail_increment,
+            "tail_bound": self.tail_bound,
             "verdict": self.verdict,
             "horizon": self.horizon,
-            "tail_window": self.tail_window,
             "c": self.c,
         }
 
 
-def slln_series_check(s: SLLNSeriesSpec, horizon: int,
-                      tail_window: int | None = None) -> SLLNSeriesReport:
-    """Numerically classify sum_k alpha_k b_k^{-r} as converging/diverging.
+def slln_series_check(s: SLLNSeriesSpec, horizon: int) -> SLLNSeriesReport:
+    """Decide sum_k alpha_k b_k^{-r} < infinity and sum its first ``horizon`` terms.
 
-    This is a heuristic on a finite horizon, not a proof: converging needs
-    the last window to contribute < 1e-3 of the partial sum with decreasing
-    increments; diverging needs k * delta_k to stay bounded away from zero
-    across the window (the harmonic signature); anything else is
-    inconclusive.
+    A scalar alpha and the spec's weights decide the series in closed form.
+    alpha = 0 makes every term 0.  Power weights b_k = k^beta give the
+    p-series alpha k^{-p}, p = beta r, which converges iff p > 1.  As x^{-p}
+    decreases, the integral test bounds the sum past the horizon h by
+    ``tail_bound = alpha int_h^inf x^{-p} dx = alpha h^{1-p} / (p - 1)``; the
+    integral is at most sum_{k>=h} k^{-p}, so the bound exceeds that sum by at
+    most the first omitted term, alpha h^{-p}.  Log weights b_k = log(k + 1)
+    diverge for alpha > 0: log(k + 1)^r = o(k) for every r > 0, so the terms
+    eventually exceed alpha / k, a harmonic series.  A per-k alpha vector is
+    known only up to the horizon, and no finite prefix decides a series, so
+    it is inconclusive.  ``tail_bound`` is None unless the verdict is
+    converging.
     """
     horizon = int(horizon)
-    if tail_window is None:
-        tail_window = min(max(10, horizon // 10), horizon // 2)
-    tail_window = int(tail_window)
-    if tail_window < 1 or horizon < 2 * tail_window:
-        raise ValidationError("horizon must be at least twice the tail window, "
-                              "which is at least 1")
-    b = s.weights.materialize(horizon)
-    if np.any(b <= 0):
-        raise ValidationError("weights must be strictly positive")
-    delta = s.alphas(horizon) * b ** (-float(s.r))
-    total = _fsum(delta)
-    tail = _fsum(delta[-tail_window:])
-
-    if total == 0.0:
-        verdict = "converging"
-    elif tail < 1e-3 * total and np.all(np.diff(delta[-tail_window:]) <= 0):
-        verdict = "converging"
-    else:
-        k = np.arange(horizon - tail_window + 1, horizon + 1, dtype=np.float64)
-        kd = k * delta[-tail_window:]
-        if kd.min() > 0 and kd.min() >= 0.5 * kd.max():
-            verdict = "diverging"
-        else:
-            verdict = "inconclusive"
+    if horizon < 1:
+        raise ValidationError("horizon must be at least 1")
+    delta = s.alphas(horizon) * s.weights.materialize(horizon) ** (-float(s.r))
+    verdict, tail_bound = "diverging", None
+    if isinstance(s.alpha, tuple):
+        verdict = "inconclusive"
+    elif s.alpha == 0.0:
+        verdict, tail_bound = "converging", 0.0
+    elif s.weights.kind == "power" and s.weights.beta * s.r > 1.0:
+        p = s.weights.beta * s.r
+        verdict, tail_bound = "converging", s.alpha * horizon ** (1.0 - p) / (p - 1.0)
     return SLLNSeriesReport(
-        partial_sum=float(total),
-        tail_increment=float(tail),
+        partial_sum=_fsum(delta),
+        tail_bound=tail_bound,
         verdict=verdict,
         horizon=horizon,
-        tail_window=tail_window,
         c=float(s.c),
     )

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hrbounds.bounds import (
     MomentProfile,
@@ -383,12 +383,13 @@ class TestSeriesCheck:
 
     def test_harmonic_series(self):
         s = SLLNSeriesSpec(alpha=1.0, r=1.0, weights=WeightSequence.power(1.0, 10_000))
-        assert slln_series_check(s, horizon=10_000).verdict == "diverging"
+        rep = slln_series_check(s, horizon=10_000)
+        assert rep.verdict == "diverging" and rep.tail_bound is None
 
     def test_zero_coefficients(self):
         s = SLLNSeriesSpec(alpha=0.0, r=1.0, weights=WeightSequence.power(1.0, 100))
         rep = slln_series_check(s, horizon=100)
-        assert rep.verdict == "converging" and rep.partial_sum == 0.0
+        assert rep.verdict == "converging" and rep.partial_sum == 0.0 == rep.tail_bound
 
     def test_p_three_halves_converges(self):
         s = SLLNSeriesSpec(alpha=1.0, r=1.0, weights=WeightSequence.power(1.5, 10_000))
@@ -397,14 +398,48 @@ class TestSeriesCheck:
     def test_oscillating_coefficients_are_inconclusive(self):
         alpha = tuple(2.0 + (-1.0) ** k for k in range(1, 2001))
         s = SLLNSeriesSpec(alpha=alpha, r=1.0, weights=WeightSequence.power(1.0, 2000))
-        assert slln_series_check(s, horizon=2000).verdict == "inconclusive"
+        rep = slln_series_check(s, horizon=2000)
+        assert rep.verdict == "inconclusive" and rep.tail_bound is None
 
-    def test_short_horizons_shrink_the_tail_window(self):
-        s = SLLNSeriesSpec(alpha=1.0, r=2.0, weights=WeightSequence.power(1.0, 100))
-        for horizon, window in ((2, 1), (4, 2), (19, 9), (20, 10), (100, 10)):
-            assert slln_series_check(s, horizon=horizon).tail_window == window
+    @pytest.mark.parametrize("horizon", [1_000, 100_000])
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5])
+    def test_slowly_converging_p_series(self, p, horizon):
+        s = SLLNSeriesSpec(alpha=1.0, r=p, weights=WeightSequence.power(1.0, horizon))
+        assert slln_series_check(s, horizon=horizon).verdict == "converging"
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 5.0])
+    def test_log_weights_diverge(self, r):
+        s = SLLNSeriesSpec(alpha=1.0, r=r, weights=WeightSequence.log(1_000))
+        rep = slln_series_check(s, horizon=1_000)
+        assert rep.verdict == "diverging" and rep.tail_bound is None
+
+    @given(st.floats(1e-6, 1e6), st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+           st.integers(1, 200))
+    @example(alpha=1.0, beta=0.5, r=2.0, horizon=10)  # beta r == 1: the harmonic series
+    @settings(max_examples=200)
+    def test_power_series_converges_iff_beta_r_above_one(self, alpha, beta, r, horizon):
+        s = SLLNSeriesSpec(alpha=alpha, r=r, weights=WeightSequence.power(beta, horizon))
+        rep = slln_series_check(s, horizon=horizon)
+        assert (rep.verdict == "converging") == (beta * r > 1.0)
+        assert (rep.tail_bound is not None) == (beta * r > 1.0)
+
+    @pytest.mark.parametrize("horizon", [10, 1_000, 100_000])
+    @pytest.mark.parametrize("p, zeta", [(1.5, 2.612375348685488), (2.0, math.pi ** 2 / 6.0),
+                                         (3.0, 1.2020569031595942)])
+    def test_tail_bound_brackets_zeta(self, p, zeta, horizon):
+        """The integral-test bound overshoots the tail by at most the first omitted term."""
+        s = SLLNSeriesSpec(alpha=1.0, r=p, weights=WeightSequence.power(1.0, horizon))
+        rep = slln_series_check(s, horizon=horizon)
+        over = rep.partial_sum + rep.tail_bound - zeta
+        ulps = 8 * math.ulp(zeta)
+        assert -ulps <= over <= horizon ** -p + ulps
+
+    def test_tail_bound_at_a_short_horizon(self):
+        s = SLLNSeriesSpec(alpha=1.0, r=2.0, weights=WeightSequence.power(1.0, 4))
+        rep = slln_series_check(s, horizon=4)
+        assert rep.verdict == "converging" and rep.tail_bound == 0.25
         with pytest.raises(ValidationError):
-            slln_series_check(s, horizon=1)
+            slln_series_check(s, horizon=0)
 
     def test_spec_validation(self):
         w = WeightSequence.power(1.0, 100)

@@ -820,8 +820,23 @@ def test_slln_short_horizon(tmp_path, monkeypatch):
     code = run(["slln", "--config", write_config(tmp_path, cfg),
                 "--out", str(tmp_path)], monkeypatch, tmp_path)
     assert code == 0
-    series = json.loads((tmp_path / "slln_series.json").read_text())
-    assert series["series"]["tail_window"] == 2
+    series = json.loads((tmp_path / "slln_series.json").read_text())["series"]
+    assert series["verdict"] == "converging" and series["tail_bound"] == 0.25
+
+
+def test_slln_overflowing_tail_bound_writes_nothing(tmp_path, monkeypatch, capsys):
+    # beta r - 1 is 4 ulp of 1, so alpha h^(1 - beta r) / (beta r - 1) overflows to inf
+    cfg = dict(BASE, sequence={"family": "gaussian", "n": 4, "params": {}}, n=4,
+               replications=50, checkpoints=[2, 4],
+               series={"alpha": 1e300, "r": 1.0000000000000009})
+    out = tmp_path / "out"
+    code = run(["slln", "--config", write_config(tmp_path, cfg),
+                "--out", str(out)], monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError", "message": "non-finite number in output"}
+    assert not (out / "slln_series.json").exists()
+    assert not (out / "slln_checkpoints.csv").exists()
 
 
 def test_slln_bounded_weights_rejected(tmp_path, monkeypatch, capsys):

@@ -160,6 +160,21 @@ def test_stable_sample_matches_sin_cos_pow_form(alpha, beta):
             np.testing.assert_allclose(got[ok], want[ok], rtol=1e-13, atol=atol)
 
 
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("alpha", [1.1, 1.2, 1.5, 1.9])
+def test_stable_sample_finite_at_clipped_uniform_edges(alpha, beta):
+    """Finite at the edges the clipped uniforms reach, though not accurate there.
+
+    Near alpha = 1.2 with u1 = 1 - eps (beta = -1) or u1 = eps (beta = 1),
+    V - alpha theta rounds onto pi/2 and the second cosine is lost:
+    ``stable_sample(1.2, -1, 1, 1 - eps, 0.5)`` is 2.507 where the exact
+    transform gives 3.928.  Only finiteness is pinned here.
+    """
+    u = np.array([_EPS, 0.5, 1 - _EPS])
+    u1, u2 = (g.ravel() for g in np.meshgrid(u, u))
+    assert np.all(np.isfinite(stable_sample(alpha, beta, 1.0, u1, u2)))
+
+
 def test_stable_sample_scalar_in_float_out():
     for alpha in (0.7, 1.0, 2.0):
         out = stable_sample(alpha, 0.5, 1.0, 0.3, 0.6)
