@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, weights_materialize
+from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, weights_sha256
 
 
 def canonical_json(payload) -> str:
@@ -27,7 +27,7 @@ def digest_of(payload) -> str:
 
 def _weights_form(w: WeightSequence, n: int) -> str:
     """Hex SHA-256 of b_1..b_n as little-endian float64 bytes."""
-    return hashlib.sha256(weights_materialize(w, n).astype("<f8", copy=False)).hexdigest()
+    return weights_sha256(w, n)
 
 
 def event_a_n(law: dict | None, phi: ShapeFunction, chi: ScaleFunction,

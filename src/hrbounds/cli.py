@@ -20,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,16 @@ def _fmt(v) -> str:
     return format(v, ".17g")
 
 
+# Strings at most this long (dict keys, kinds, digests) have their JSON text
+# kept, since a report repeats a handful of them many times.
+_JSON_STR_MEMO_LEN = 64
+
+
+@lru_cache(maxsize=1024)
+def _json_str(s: str) -> str:
+    return json.dumps(s)
+
+
 def render_json(obj) -> str:
     out: list[str] = []
     _render(obj, 0, out)
@@ -105,7 +115,7 @@ def _render(obj, depth: int, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_fmt(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_json_str(obj) if len(obj) <= _JSON_STR_MEMO_LEN else json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -113,7 +123,7 @@ def _render(obj, depth: int, out: list[str]) -> None:
         npad = "  " * (depth + 1)
         sep = "{\n" + npad
         for k, v in obj.items():
-            out.append(f"{sep}{json.dumps(str(k))}: ")
+            out.append(f"{sep}{_json_str(str(k))}: ")
             _render(v, depth + 1, out)
             sep = ",\n" + npad
         out.append("\n" + "  " * depth + "}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,23 +180,35 @@ def for_each_block(spec: RandomSequenceSpec, rows: int, master_seed: int, thread
             one(b)
 
 
+def _sum_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Prefix sums of each row of the contiguous ``(R, n)`` array a, into out (default a)."""
+    n = a.shape[1]
+    # up to n = 10**4 all rows are one piece, one cumsum; longer rows are
+    # summed chunk by chunk
+    parts = [a.reshape(-1)] if n <= _PLAIN_CUMSUM_MAX else (c for row in a for c in _chunks(row))
+    out = a if out is None else out
+    for _ in prefix_sum_chunks(parts, n, out=out):
+        pass
+    return out
+
+
 @dataclass(frozen=True)
 class TrajectoryBatch:
     """R independent trajectories, drawn in blocks of ``block_rows(n)`` rows.
 
     Row r is row ``r % m`` of ``sample_iid(spec, SeedSpec(master_seed, r // m),
     rows=m)``.  A row depends on the seed and n, not on the worker count, and
-    a batch of R rows is a row-prefix of any larger batch.  The prefix sums
-    are written into preallocated s, u and v, u and v in place of the
-    positive and negative parts, so no temporary is longer than a chunk.
+    a batch of R rows is a row-prefix of any larger batch.  A batch is built
+    from the increments x and their prefix sums s.  The one-sided walks u and
+    v are built from x on first read and then kept, so a command that reads
+    only s pays for neither; each is summed in place of its positive (or
+    negative) parts, so no temporary is longer than a chunk.
     """
 
     spec: RandomSequenceSpec
     master_seed: int
     x: np.ndarray  # (R, n) increments
     s: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
 
     @classmethod
     def generate(cls, spec: RandomSequenceSpec, replications: int, master_seed: int,
@@ -204,7 +217,7 @@ class TrajectoryBatch:
         if replications < 1:
             raise ValidationError("replication count must be >= 1")
         n = int(spec.n)
-        x, s, u, v = (np.empty((replications, n), dtype=np.float64) for _ in range(4))
+        x = np.empty((replications, n), dtype=np.float64)
 
         def fill(first: int, pieces: Iterator[np.ndarray]) -> None:
             flat = x[first:].reshape(-1)
@@ -214,21 +227,18 @@ class TrajectoryBatch:
                 size += piece.size
 
         for_each_block(spec, replications, master_seed, threads, fill)
+        return cls(spec=spec, master_seed=int(master_seed), x=x, s=_sum_rows(x, np.empty_like(x)))
 
-        np.maximum(x, 0.0, out=u)
-        np.maximum(np.negative(x, out=v), 0.0, out=v)
+    @cached_property
+    def u(self) -> np.ndarray:
+        """u_k = sum_{i<=k} max(X_i, 0), per row."""
+        return _sum_rows(np.maximum(self.x, 0.0))
 
-        def parts(a: np.ndarray):
-            # up to n = 10**4 all rows are one piece, one cumsum; longer rows
-            # are summed chunk by chunk
-            if n <= _PLAIN_CUMSUM_MAX:
-                return [a.reshape(-1)]
-            return (c for row in a for c in _chunks(row))
-
-        for out, a in ((s, x), (u, u), (v, v)):   # u and v are summed in place
-            for _ in prefix_sum_chunks(parts(a), n, out=out):
-                pass
-        return cls(spec=spec, master_seed=int(master_seed), x=x, s=s, u=u, v=v)
+    @cached_property
+    def v(self) -> np.ndarray:
+        """v_k = sum_{i<=k} max(-X_i, 0), per row."""
+        v = np.negative(self.x)
+        return _sum_rows(np.maximum(v, 0.0, out=v))
 
     @property
     def replications(self) -> int:

@@ -10,6 +10,7 @@ chi must be positive nondecreasing on b > 0; the weights must satisfy
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -185,12 +186,23 @@ class WeightSequence:
 
 
 def phi_eval(phi: ShapeFunction, x):
-    """Evaluate phi(x) in closed form (scalar or elementwise)."""
+    """Evaluate phi(x) in closed form (scalar or elementwise).
+
+    The power is taken in place on |x| or max(x, 0), so an array input costs
+    one temporary, not two.  Exponents 1 and 2 take numpy's own fast paths
+    of ``** 1.0`` (none) and ``** 2.0`` (a square), so the bits are those of
+    ``np.abs(x) ** e``.
+    """
     x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
     if phi.kind == "abs_power":
-        out = np.abs(x) ** phi.exponent
+        np.abs(x, out=out)
     else:
-        out = np.maximum(x, 0.0) ** phi.exponent
+        np.maximum(x, 0.0, out=out)
+    if phi.exponent == 2.0:
+        np.square(out, out=out)
+    elif phi.exponent != 1.0:
+        np.power(out, phi.exponent, out=out)
     return out if out.ndim else float(out)
 
 
@@ -230,17 +242,31 @@ def _weights(w: WeightSequence, n: int) -> np.ndarray:
     return b
 
 
+@lru_cache(maxsize=1)
+def weights_sha256(w: WeightSequence, n: int) -> str:
+    """Hex SHA-256 of b_1..b_n as little-endian float64 bytes.
+
+    Kept with the array until `release_weights`, so the kinds of one command
+    hash their shared weights once.
+    """
+    return hashlib.sha256(weights_materialize(w, n).astype("<f8", copy=False)).hexdigest()
+
+
 def release_weights() -> None:
-    """Drop the kept b_1..b_n, so that it does not outlive the command that used it."""
+    """Drop the kept b_1..b_n and its hash, so that neither outlives the command that used it."""
     _weights.cache_clear()
+    weights_sha256.cache_clear()
 
 
+@lru_cache(maxsize=32)
 def subadditivity_constant(phi: ShapeFunction) -> SubadditivityCertificate:
     """Analytic K with phi(x+y) <= K (phi(x) + phi(y)), plus a grid check.
 
     For both power families K = 2**(exponent - 1), attained at x == y > 0.
     The certificate evaluates the ratio over signed pairs from the log grid
     and fails loudly if any grid point contradicts the analytic constant.
+    A passed check is kept per (frozen) ``phi``; a failed one is not, so it
+    raises on every call.
     """
     k_analytic = 2.0 ** (phi.exponent - 1.0)
     mags = _GRID_MAGNITUDES

@@ -412,32 +412,42 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     T = _process_matrix(batch, process, phi)
     R, n = T.shape
     c = float(np.quantile(np.abs(T), 0.999))
-    running_max = np.maximum.accumulate(T, axis=1)
     n_tests = (n - 1) * len(family)
     z = _normal_quantile(1.0 - (1.0 - level) / n_tests)
 
+    # Step j is row j - 1 of the contiguous (n, R) transpose, so every
+    # reduction runs along a contiguous row, as the 1-d reduction of one
+    # column would, and gives the same bits.
+    Tt = np.ascontiguousarray(T.T)
+    diff = Tt[1:] - Tt[:-1]   # row j - 1: T_{j+1} - T_j
+    cols = Tt[:-1]
+    prod = np.empty_like(diff)
+    margins = {}
+    for name in family:
+        if name == "const":
+            p = diff   # diff * 1 is diff
+        else:
+            if name == "coordinate":
+                g = np.clip(cols, -c, c)
+                g += c
+            elif name == "running_max":
+                g = np.clip(np.maximum.accumulate(cols, axis=0), -c, c)
+                g += c
+            else:
+                q = np.quantile(cols, 0.25 if name == "indicator_q25" else 0.75, axis=1)
+                g = (cols > q[:, None]).astype(np.float64)
+            p = np.multiply(diff, g, out=prod)
+        margins[name] = (p.mean(axis=1).tolist(),
+                         (p.std(axis=1, ddof=1) / math.sqrt(R)).tolist(),
+                         np.count_nonzero(p < 0, axis=1).tolist())
+
     records = []
     for j in range(1, n):  # margin between T_j and T_{j+1}, 1-based
-        diff = T[:, j] - T[:, j - 1]
-        col = T[:, j - 1]
         for name in family:
-            if name == "const":
-                g = np.ones(R)
-            elif name == "coordinate":
-                g = np.clip(col, -c, c) + c
-            elif name == "running_max":
-                g = np.clip(running_max[:, j - 1], -c, c) + c
-            elif name == "indicator_q25":
-                g = (col > np.quantile(col, 0.25)).astype(np.float64)
-            else:  # indicator_q75
-                g = (col > np.quantile(col, 0.75)).astype(np.float64)
-            prod = diff * g
-            margin = float(prod.mean())
-            se = float(prod.std(ddof=1) / math.sqrt(R))
-            flagged = margin < -z * se if se > 0 else margin < 0
-            records.append(MarginRecord(
-                j=j, g=name, margin=margin, se=se, flagged=bool(flagged),
-                negative_products=int(np.count_nonzero(prod < 0))))
+            mean, se, neg = (m[j - 1] for m in margins[name])
+            flagged = mean < -z * se if se > 0 else mean < 0
+            records.append(MarginRecord(j=j, g=name, margin=mean, se=se,
+                                        flagged=flagged, negative_products=neg))
     return DemiCheckReport(
         process=process, level=level, replications=R, n=n,
         family=tuple(family), clip_constant=c, records=tuple(records))

@@ -362,6 +362,14 @@ def test_mixed_lists_render_element_by_element():
         '  [\n    "well_defined",\n    false\n  ]\n]')
 
 
+@given(st.dictionaries(st.text(max_size=80), st.text(max_size=80), max_size=6))
+def test_strings_render_as_json_dumps(d):
+    # short strings come from a memo of their JSON text, long ones are dumped afresh
+    want = json.dumps(d, indent=2, ensure_ascii=True)
+    assert render_json(d) == want
+    assert render_json(d) == want
+
+
 def test_non_finite_term_ends_in_the_json_error(tmp_path, monkeypatch, capsys):
     real = cli._compute_bound
 
@@ -764,6 +772,32 @@ def test_refused_before_drawing(tmp_path, monkeypatch, capsys, command, source, 
 
 # ---------------------------------------------------------------------------
 # check-demi command
+
+
+def kept_batches(monkeypatch):
+    """Replace TrajectoryBatch.generate by a wrapper that keeps each batch it makes."""
+    made = []
+    real = TrajectoryBatch.generate
+
+    def keeping(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(TrajectoryBatch, "generate", staticmethod(keeping))
+    return made
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("check-demi", BASE),
+    ("verify", dict(BASE, kinds=["classic"], epsilon=2.0)),
+], ids=["check-demi-S", "verify-classic"])
+def test_commands_that_read_only_s_leave_the_one_sided_walks_unbuilt(
+        tmp_path, monkeypatch, command, cfg):
+    made = kept_batches(monkeypatch)
+    assert run([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)],
+               monkeypatch, tmp_path) == 0
+    assert len(made) == 1
+    assert "u" not in vars(made[0]) and "v" not in vars(made[0])
 
 
 def test_check_demi_exit_codes(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from hrbounds.errors import (
 from hrbounds.sequences import TrajectoryBatch, block_rows, partial_sums
 from hrbounds.shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 from hrbounds.simulation import (
+    DEFAULT_DEMI_FAMILY,
+    DEMI_PROCESSES,
     MonteCarloEstimate,
     binomial_estimate,
     demi_check,
@@ -385,6 +388,76 @@ def test_demi_transformed_process_closure():
     batch = TrajectoryBatch.generate(gaussian(8), 10_000, master_seed=13)
     rep = demi_check(batch, "phi_of_S_plus", phi=ShapeFunction.abs_power(2.0))
     assert rep.passed
+
+
+def _demi_reference(batch, process, family, level, phi):
+    """Margins one (j, g) pair at a time, each from its own columns."""
+    T = {"S": batch.s, "u": batch.u, "v": batch.v}.get(process)
+    if T is None:
+        T = phi(np.maximum(batch.s, 0.0))
+    R, n = T.shape
+    c = float(np.quantile(np.abs(T), 0.999))
+    running_max = np.maximum.accumulate(T, axis=1)
+    z = NormalDist().inv_cdf(1.0 - (1.0 - level) / ((n - 1) * len(family)))
+    records = []
+    for j in range(1, n):
+        diff = T[:, j] - T[:, j - 1]
+        col = T[:, j - 1]
+        for name in family:
+            if name == "const":
+                g = np.ones(R)
+            elif name == "coordinate":
+                g = np.clip(col, -c, c) + c
+            elif name == "running_max":
+                g = np.clip(running_max[:, j - 1], -c, c) + c
+            elif name == "indicator_q25":
+                g = (col > np.quantile(col, 0.25)).astype(np.float64)
+            else:
+                g = (col > np.quantile(col, 0.75)).astype(np.float64)
+            prod = diff * g
+            margin = float(prod.mean())
+            se = float(prod.std(ddof=1) / math.sqrt(R))
+            flagged = margin < -z * se if se > 0 else margin < 0
+            records.append((j, name, margin, se, bool(flagged),
+                            int(np.count_nonzero(prod < 0))))
+    return c, records
+
+
+@st.composite
+def demi_cases(draw):
+    # demi_check refuses fewer than 1000 rows
+    reps = draw(st.integers(1000, 3000))
+    n = draw(st.integers(2, 12))
+    spec = rademacher(n) if draw(st.booleans()) else gaussian(n, draw(st.sampled_from([0.0, -0.3])))
+    family = tuple(draw(st.permutations(DEFAULT_DEMI_FAMILY))[:draw(st.integers(1, 5))])
+    return spec, reps, draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from(DEMI_PROCESSES)), \
+        family, draw(st.sampled_from([0.9, 0.99, 0.999999]))
+
+
+@given(demi_cases())
+@settings(max_examples=40, deadline=None)
+def test_demi_margins_equal_the_per_pair_loop_bit_for_bit(case):
+    """Rademacher columns have tied quantiles; the records must still agree to the bit."""
+    spec, reps, seed, process, family, level = case
+    batch = TrajectoryBatch.generate(spec, reps, master_seed=seed)
+    phi = ShapeFunction.abs_power(1.5)
+    rep = demi_check(batch, process, family, level, phi=phi)
+    c, want = _demi_reference(batch, process, family, level, phi)
+    got = [(r.j, r.g, r.margin, r.se, r.flagged, r.negative_products) for r in rep.records]
+    assert rep.clip_constant == c
+    assert [(j, g, f, k) for j, g, _, _, f, k in got] == [(j, g, f, k) for j, g, _, _, f, k in want]
+    for g_rec, w_rec in zip(got, want):
+        np.testing.assert_array_equal(np.array(g_rec[2:4]).view(np.uint64),
+                                      np.array(w_rec[2:4]).view(np.uint64))
+
+
+def test_demi_check_on_s_leaves_the_one_sided_walks_unbuilt():
+    batch = TrajectoryBatch.generate(gaussian(6), 2000, master_seed=5)
+    demi_check(batch, "S")
+    demi_check(batch, "phi_of_S_plus", phi=PHI1)
+    assert "u" not in vars(batch) and "v" not in vars(batch)
+    demi_check(batch, "u")
+    assert "u" in vars(batch) and "v" not in vars(batch)
 
 
 def test_demi_validation():
