@@ -6,19 +6,22 @@ BoundReport with per-term contributions:
 * ``bound_theorem1``: lower bound on P(phi(S_k) <= chi(b_k) for all k <= n)
   built from the positive/negative-part decomposition, with the
   subadditivity constant K of phi entering as a factor 2K.
-* ``bound_rao``: the one-envelope precursor, 1 - sum of increments of
-  E[phi(T_k)] over chi(b_k).
+* ``bound_rao``: the one-envelope precursor on the positive-part walk u of
+  the same profile, 1 - sum of increments of E[phi(u_k)] over chi(b_k).
 * ``bound_hajek_renyi_classic``: the two-range second-moment upper bound
   on the weighted maximum of partial sums of independent centered terms.
 * ``bound_amini``: the variance-plus-cross-term upper bound on
   P(max_k |S_k|/b_k >= eps).
 
+Each bound computes its terms and the event it constrains, and ``_report``
+does the rest; callers read the event to estimate from the report.
+
 Moment data arrives as a MomentProfile, either from the closed-form table
 (`analytic_moment_profile`) or from Monte Carlo (`estimate_moment_profile`).
 Estimated profiles carry standard errors, are isotonically projected to
 restore the monotonicity the analytic quantities must have, and are flagged
-as non-integrable when running means fail to stabilize; flagged profiles
-are refused by the bound evaluators rather than silently used.
+as non-integrable when running means fail to stabilize; both lower bounds
+refuse a flagged profile rather than silently use it.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class MomentProfile:
     def __post_init__(self):
         if self.provenance not in ("analytic", "estimated"):
             raise ValidationError(f"unknown provenance {self.provenance!r}")
+        if self.n < 1:
+            raise ValidationError(f"a moment profile needs n >= 1, got {self.n}")
         for name in ("e_phi_u", "e_phi_v", "se_u", "se_v"):
             vec = getattr(self, name)
             if vec is not None:
@@ -407,8 +412,31 @@ def _fsum(a: np.ndarray) -> float:
         a[i:i + CHUNK].tolist() for i in range(0, a.size, CHUNK)))
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _report(kind: str, terms: np.ndarray, event: dict, *checked: str) -> BoundReport:
+    """The report of ``kind``: raw is 1 - sum(terms) for a lower bound, sum(terms)
+    for an upper one; ``checked`` names the hypotheses that held."""
+    s = _fsum(terms)
+    lower = kind.endswith("_lower")
+    raw = 1.0 - s if lower else s
+    informative = raw > 0.0 if lower else raw < 1.0
+    return BoundReport(
+        bound_kind=kind,
+        value=min(1.0, max(0.0, raw)),
+        raw_value=raw,
+        terms=terms,
+        hypotheses_checked=(*((name, True) for name in checked), ("informative", informative)),
+        inputs_digest=digest_of(event),
+        event=event,
+    )
+
+
+def _integrable(mp: MomentProfile) -> MomentProfile:
+    """``mp`` itself, unless it is flagged non-integrable: a lower bound is then undefined."""
+    if mp.non_integrable:
+        raise NonIntegrabilityError(
+            "moment profile failed the running-mean stabilization check "
+            f"(max relative drift {mp.max_rel_drift!r}); bound undefined")
+    return mp
 
 
 def bound_theorem1(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
@@ -419,11 +447,7 @@ def bound_theorem1(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
     with K the subadditivity constant of phi.  The bound is only meaningful
     when every moment is finite; a profile flagged non-integrable is refused.
     """
-    if mp.non_integrable:
-        raise NonIntegrabilityError(
-            "moment profile failed the running-mean stabilization check "
-            f"(max relative drift {mp.max_rel_drift!r}); bound undefined")
-    inc = mp.increments()
+    inc = _integrable(mp).increments()
     bad = np.flatnonzero(~np.isfinite(inc))
     if bad.size:
         raise HypothesisViolationError(
@@ -432,67 +456,38 @@ def bound_theorem1(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
     if bad.size:
         raise HypothesisViolationError(
             "decreasing combined moment sequence", failing_indices=[int(i) + 1 for i in bad])
-    cert = subadditivity_constant(phi)
-    b = w.materialize(mp.n)
-    terms = 2.0 * cert.K * inc / chi(b)
-    raw = 1.0 - _fsum(terms)
-    hypotheses = (
-        ("well_defined", True),
-        ("moments_nondecreasing", True),
-        ("informative", raw > 0.0),
-    )
-    payload = event_a_n(mp.source, phi, chi, w, mp.n)
-    return BoundReport(
-        bound_kind="theorem1_lower",
-        value=_clamp01(raw),
-        raw_value=raw,
-        terms=terms,
-        hypotheses_checked=hypotheses,
-        inputs_digest=digest_of(payload),
-        event=payload,
-    )
+    terms = 2.0 * subadditivity_constant(phi).K * inc / chi(w.materialize(mp.n))
+    return _report("theorem1_lower", terms, event_a_n(mp.source, phi, chi, w, mp.n),
+                   "well_defined", "moments_nondecreasing")
 
 
 def bound_rao(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
-              e_phi_T, source: dict | None = None,
-              process: str = "u") -> BoundReport:
-    """Lower bound 1 - sum_k (E[phi(T_k)] - E[phi(T_{k-1})]) / chi(b_k).
+              mp: MomentProfile) -> BoundReport:
+    """Lower bound 1 - sum_k (E[phi(u_k)] - E[phi(u_{k-1})]) / chi(b_k), E[phi(u_0)] = 0.
 
-    ``e_phi_T`` is the expectation sequence for k = 1..n; the k = 0 term is
-    zero by convention.  It must be finite, nonnegative, and nondecreasing.
-    ``process`` names the nondecreasing sequence the envelope applies to
-    (the positive-part process by default) for event identification.
+    Rao's envelope bound on the positive-part walk u of the profile that
+    ``bound_theorem1`` reads, which has checked E[phi(u_k)] finite,
+    nonnegative and nondecreasing; a flagged profile is refused.
     """
-    e = np.asarray(e_phi_T, dtype=np.float64)
-    if e.ndim != 1 or e.size == 0:
-        raise DataError("expected a nonempty expectation vector")
+    inc = np.diff(_integrable(mp).e_phi_u, prepend=0.0)
+    terms = inc / chi(w.materialize(mp.n))
+    return _report("rao_lower", terms, event_a_n(mp.source, phi, chi, w, mp.n, process="u"),
+                   "moments_nondecreasing")
+
+
+def _upper_input(vec, name: str, n: int, epsilon: float) -> np.ndarray:
+    """The first ``n`` entries of an upper bound's moment vector, checked finite and >= 0."""
+    if epsilon <= 0:
+        raise ParameterDomainError("epsilon", "must be > 0")
+    e = np.asarray(vec, dtype=np.float64)
+    if e.size < n:
+        raise DataError(f"{name} has {e.size} entries, need {n}")
+    e = e[:n]
     if not np.all(np.isfinite(e)):
-        raise HypothesisViolationError(
-            "non-finite expectations",
-            failing_indices=[int(i) + 1 for i in np.flatnonzero(~np.isfinite(e))])
-    inc = np.diff(np.concatenate([[0.0], e]))
-    bad = np.flatnonzero(inc < 0)
-    if bad.size:
-        raise HypothesisViolationError(
-            "E[phi(T_k)] must be nondecreasing (with E[phi(T_0)] = 0)",
-            failing_indices=[int(i) + 1 for i in bad])
-    n = e.size
-    b = w.materialize(n)
-    terms = inc / chi(b)
-    raw = 1.0 - _fsum(terms)
-    payload = event_a_n(source, phi, chi, w, n, process=process)
-    return BoundReport(
-        bound_kind="rao_lower",
-        value=_clamp01(raw),
-        raw_value=raw,
-        terms=terms,
-        hypotheses_checked=(
-            ("moments_nondecreasing", True),
-            ("informative", raw > 0.0),
-        ),
-        inputs_digest=digest_of(payload),
-        event=payload,
-    )
+        raise DataError(f"non-finite {name} entry", index=int(np.flatnonzero(~np.isfinite(e))[0]))
+    if np.any(e < 0):
+        raise ValidationError(f"{name} entries must be nonnegative")
+    return e
 
 
 def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
@@ -510,34 +505,13 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
     m, n = int(m), int(n)
     if m < 1 or m > n:
         raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if epsilon <= 0:
-        raise ParameterDomainError("epsilon", "must be > 0")
-    e = np.asarray(ex2, dtype=np.float64)
-    if e.size < n:
-        raise DataError(f"ex2 has {e.size} entries, need {n}")
-    if not np.all(np.isfinite(e[:n])):
-        raise DataError("non-finite second moment",
-                        index=int(np.flatnonzero(~np.isfinite(e[:n]))[0]))
-    if np.any(e[:n] < 0):
-        raise ValidationError("second moments must be nonnegative")
+    e = _upper_input(ex2, "ex2", n, epsilon)
     b = w.materialize(n)
     terms = np.empty(n, dtype=np.float64)
     terms[:m] = e[:m] / (epsilon ** 2 * b[m - 1] ** 2)
-    terms[m:] = e[m:n] / (epsilon ** 2 * b[m:] ** 2)
-    raw = _fsum(terms)
-    payload = event_max_ratio(source, w, m, n, epsilon, sided)
-    return BoundReport(
-        bound_kind="hajek_renyi_upper",
-        value=_clamp01(raw),
-        raw_value=raw,
-        terms=terms,
-        hypotheses_checked=(
-            ("second_moments_finite", True),
-            ("informative", raw < 1.0),
-        ),
-        inputs_digest=digest_of(payload),
-        event=payload,
-    )
+    terms[m:] = e[m:] / (epsilon ** 2 * b[m:] ** 2)
+    return _report("hajek_renyi_upper", terms, event_max_ratio(source, w, m, n, epsilon, sided),
+                   "second_moments_finite")
 
 
 def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,
@@ -550,34 +524,12 @@ def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,
     n = int(n)
     if n < 1:
         raise ParameterDomainError("n", "must be >= 1")
-    if epsilon <= 0:
-        raise ParameterDomainError("epsilon", "must be > 0")
-    s = np.asarray(sigma, dtype=np.float64)
-    if s.size < n:
-        raise DataError(f"sigma has {s.size} entries, need {n}")
-    s = s[:n]
-    if not np.all(np.isfinite(s)):
-        raise DataError("non-finite sigma entry",
-                        index=int(np.flatnonzero(~np.isfinite(s))[0]))
-    if np.any(s < 0):
-        raise ValidationError("standard deviations must be nonnegative")
+    s = _upper_input(sigma, "sigma", n, epsilon)
     b = w.materialize(n)
     head = np.concatenate([[0.0], np.cumsum(s)[:-1]])  # sigma_1 + .. + sigma_{k-1}
     terms = (8.0 / epsilon ** 2) * s ** 2 / b ** 2 + 2.0 * s * head / b ** 2
-    raw = _fsum(terms)
-    payload = event_max_ratio(source, w, 1, n, epsilon, "abs")
-    return BoundReport(
-        bound_kind="amini_upper",
-        value=_clamp01(raw),
-        raw_value=raw,
-        terms=terms,
-        hypotheses_checked=(
-            ("sigma_nonnegative", True),
-            ("informative", raw < 1.0),
-        ),
-        inputs_digest=digest_of(payload),
-        event=payload,
-    )
+    return _report("amini_upper", terms, event_max_ratio(source, w, 1, n, epsilon, "abs"),
+                   "sigma_nonnegative")
 
 
 # ---------------------------------------------------------------------------

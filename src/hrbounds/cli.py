@@ -576,43 +576,34 @@ def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
 
 def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
     spec = cfg.sequence
-    if kind == "theorem1":
-        return bound_theorem1(cfg.shape, cfg.scale, cfg.weights, draws.profile)
-    if kind == "rao":
-        mp = draws.profile
-        return bound_rao(cfg.shape, cfg.scale, cfg.weights, mp.e_phi_u,
-                         source=mp.source, process="u")
-    sigma, ex2 = _increment_sigma_ex2(spec)
+    if kind in ("theorem1", "rao"):
+        bound = bound_theorem1 if kind == "theorem1" else bound_rao
+        return bound(cfg.shape, cfg.scale, cfg.weights, draws.profile)
+    sigma, ex2 = _increment_sigma_ex2(spec)  # both None when E[X^2] is infinite
+    if sigma is None:
+        raise NonIntegrabilityError(
+            f"the {kind} bound needs finite E[X^2], which does not exist for {spec.family}")
     if kind == "classic":
-        if ex2 is None:
-            raise NonIntegrabilityError(
-                "the second-moment bound needs finite E[X^2], "
-                f"which does not exist for {spec.family}")
         return bound_hajek_renyi_classic(
             np.full(cfg.n, ex2), cfg.weights, cfg.m, cfg.n,
             _need_epsilon(cfg, kind), source=spec.law(), sided=cfg.sided)
     if kind == "amini":
-        if sigma is None:
-            raise NonIntegrabilityError(
-                "the variance bound needs finite Var(X), "
-                f"which does not exist for {spec.family}")
         return bound_amini(np.full(cfg.n, sigma), cfg.weights, cfg.n,
                            _need_epsilon(cfg, kind), source=spec.law())
     raise ValidationError(f"unknown bound kind {kind!r}")
 
 
-def _event(kind: str, cfg: ExperimentConfig) -> dict:
-    """The event a kind's bound constrains, as keyword arguments of `enumerate_exact`."""
-    if kind in ("theorem1", "rao"):
-        return {"event": "A_n", "phi": cfg.shape, "chi": cfg.scale,
-                "process": "u" if kind == "rao" else "S"}
-    amini = kind == "amini"
-    return {"event": "max", "epsilon": _need_epsilon(cfg, kind),
-            "m": 1 if amini else cfg.m, "sided": "abs" if amini else cfg.sided}
+def _event_args(report, cfg: ExperimentConfig) -> dict:
+    """The event ``report`` constrains, as keyword arguments of `enumerate_exact`."""
+    event = report.event
+    if event["event"] == "A_n":
+        return {"event": "A_n", "phi": cfg.shape, "chi": cfg.scale, "process": event["process"]}
+    return {"event": "max", "epsilon": event["epsilon"], "m": event["m"],
+            "sided": event["sided"]}
 
 
-def _estimate_for(kind: str, cfg: ExperimentConfig, draws: _Draws):
-    event = _event(kind, cfg)
+def _estimate_for(report, cfg: ExperimentConfig, draws: _Draws):
+    event = _event_args(report, cfg)
     estimate = estimate_event_An if event.pop("event") == "A_n" else estimate_max_event
     return estimate(cfg.sequence, w=cfg.weights, n=cfg.n, reps=cfg.replications,
                     seed=cfg.master_seed, level=cfg.level, batch=draws.batch, **event)
@@ -622,10 +613,6 @@ def _enumerable(cfg: ExperimentConfig) -> bool:
     family = cfg.sequence.family
     return family == "point_mass" or (
         family == "rademacher" and cfg.n <= _ENUM_MAX_N)
-
-
-def _enumerate_for(kind: str, cfg: ExperimentConfig):
-    return enumerate_exact(cfg.sequence, w=cfg.weights, n=cfg.n, **_event(kind, cfg))
 
 
 def _corrupt(report):
@@ -657,11 +644,12 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         report = _compute_bound(kind, cfg, draws)
         if args.corrupt_bound:
             report = _corrupt(report)
-        estimate = _estimate_for(kind, cfg, draws)
+        estimate = _estimate_for(report, cfg, draws)
         verdicts = {"monte_carlo": verify_bound(estimate, report)}
         exact_payload = None
         if _enumerable(cfg):
-            exact = _enumerate_for(kind, cfg)
+            exact = enumerate_exact(cfg.sequence, w=cfg.weights, n=cfg.n,
+                                    **_event_args(report, cfg))
             verdicts["exact"] = verify_bound(exact, report)
             exact_payload = {"numerator": exact.numerator,
                              "denominator": exact.denominator,

@@ -55,6 +55,11 @@ def same_profile(a: MomentProfile, b: MomentProfile) -> bool:
     return all(key(getattr(a, f.name)) == key(getattr(b, f.name)) for f in fields(a))
 
 
+def u_profile(us) -> MomentProfile:
+    """An analytic profile with E[phi(u_k)] = us and E[phi(v_k)] = 0."""
+    return MomentProfile(n=len(us), e_phi_u=us, e_phi_v=(0.0,) * len(us))
+
+
 class TestTheorem1:
     def test_worked_two_step_sign_example(self):
         # E[u_k] = E[v_k] = k/2; chi(b_k) = 10k; K = 1:
@@ -129,10 +134,9 @@ class TestTheorem1:
         n = len(us)
         chi = ScaleFunction.linear(2.0)
         w = WeightSequence.power(1.0, n)
-        mp = MomentProfile(n=n, e_phi_u=us, e_phi_v=(0.0,) * n,
-                           provenance="analytic")
+        mp = u_profile(us)
         t1 = bound_theorem1(PHI1, chi, w, mp)
-        rao = bound_rao(PHI1, chi, w, us)
+        rao = bound_rao(PHI1, chi, w, mp)
         assert t1.raw_value == pytest.approx(1.0 - 2.0 * (1.0 - rao.raw_value),
                                              rel=1e-12, abs=1e-12)
 
@@ -140,22 +144,42 @@ class TestTheorem1:
 class TestRao:
     def test_worked_example(self):
         rep = bound_rao(PHI1, ScaleFunction.linear(10.0),
-                        WeightSequence.power(1.0, 2), (0.5, 1.0))
+                        WeightSequence.power(1.0, 2), u_profile((0.5, 1.0)))
         assert rep.bound_kind == "rao_lower"
         assert rep.value == pytest.approx(0.925, abs=1e-15)
+        assert rep.event["process"] == "u"
 
     def test_requires_nondecreasing_expectations(self):
+        # the profile refuses these before any bound reads them
         with pytest.raises(HypothesisViolationError):
-            bound_rao(PHI1, ScaleFunction.linear(1.0),
-                      WeightSequence.power(1.0, 2), (1.0, 0.5))
-        with pytest.raises(HypothesisViolationError):
-            bound_rao(PHI1, ScaleFunction.linear(1.0),
-                      WeightSequence.power(1.0, 1), (-0.5,))
+            u_profile((1.0, 0.5))
+        with pytest.raises(ValidationError, match="negative entry"):
+            u_profile((-0.5,))
 
     def test_empty_input_rejected(self):
-        with pytest.raises(DataError):
-            bound_rao(PHI1, ScaleFunction.linear(1.0),
-                      WeightSequence.power(1.0, 1), ())
+        with pytest.raises(ValidationError, match="n >= 1"):
+            u_profile(())
+
+    def test_refuses_non_integrable_profile(self):
+        mp = estimate_moment_profile(STABLE15(16), PHI2, replications=2000, seed=0)
+        assert mp.non_integrable
+        with pytest.raises(NonIntegrabilityError):
+            bound_rao(PHI2, ScaleFunction.linear(1.0), WeightSequence.power(1.0, 16), mp)
+
+    @pytest.mark.parametrize("n", [1, 16, 100])
+    @pytest.mark.parametrize("c", [0.0, 0.25, 1.0, 3.0])
+    @pytest.mark.parametrize("phi, K", [(PHI1, 1), (PHI2, 2)])
+    def test_theorem1_is_2K_times_rao_on_one_profile(self, phi, K, c, n):
+        """A point mass c >= 0 has v = 0, so on its analytic profile each theorem1
+        term is 2K times the rao term, bit for bit (2K is a power of two), and
+        the two summed masses agree to one ulp of the raw values' scale."""
+        mp = analytic_moment_profile(RandomSequenceSpec("point_mass", n, (("c", c),)), phi)
+        assert not mp.e_phi_v.any()
+        chi, w = ScaleFunction.power(20.0, 1.5), WeightSequence.power(0.75, n)
+        t1, rao = bound_theorem1(phi, chi, w, mp), bound_rao(phi, chi, w, mp)
+        assert t1.terms.tobytes() == (2 * K * rao.terms).tobytes()
+        mass = 1.0 - t1.raw_value
+        assert abs(mass - 2 * K * (1.0 - rao.raw_value)) <= math.ulp(max(1.0, abs(mass)))
 
 
 class TestClassic:
@@ -358,7 +382,7 @@ class TestVectorsAreFrozenArrays:
         w = WeightSequence.power(1.0, 3)
         sigma = np.array([1.0, 1.0, 1.0])
         reports = [bound_amini(sigma, w, 3, 2.0),
-                   bound_rao(PHI1, ScaleFunction.linear(10.0), w, (0.5, 1.0, 1.5)),
+                   bound_rao(PHI1, ScaleFunction.linear(10.0), w, u_profile((0.5, 1.0, 1.5))),
                    bound_theorem1(PHI1, ScaleFunction.linear(10.0), w,
                                   analytic_moment_profile(RandomSequenceSpec("rademacher", 3),
                                                           PHI1))]

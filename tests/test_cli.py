@@ -680,6 +680,39 @@ def test_verify_rao_needs_1000_replications(tmp_path, monkeypatch, capsys, reps)
         assert payload["estimate"]["event"]["process"] == "u"
 
 
+def test_rao_refuses_a_flagged_profile_as_theorem1_does(tmp_path, monkeypatch, capsys):
+    # 100 rows of 12000 gaussian steps: the half- and full-sample running means
+    # differ by more than the drift limit, so the estimated profile is flagged
+    cfg = dict(BASE, sequence=dict(GAUSS_SEQ, n=12_000), replications=100, master_seed=0,
+               scale={"kind": "linear", "epsilon": 1.0}, profile="estimated")
+    for kind in ("theorem1", "rao"):
+        code = run(["bound", "--config", write_config(tmp_path, cfg), "--kind", kind,
+                    "--out", str(tmp_path / "out")], monkeypatch, tmp_path)
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "NonIntegrabilityError"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_verify_takes_each_kinds_event_from_its_report(tmp_path, monkeypatch):
+    cfg = dict(BASE, sequence={"family": "rademacher", "n": 8},
+               kinds=["theorem1", "rao", "classic", "amini"], epsilon=1.5, m=3,
+               sided="upper")
+    code = run(["verify", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    events = {}
+    for kind in cfg["kinds"]:
+        payload = json.loads((tmp_path / f"verify_{kind}.json").read_text())
+        assert payload["estimate"]["event"] == payload["report"]["event"], kind
+        assert payload["exact"] is not None, kind
+        events[kind] = payload["report"]["event"]
+    assert (events["theorem1"]["event"], events["theorem1"]["process"]) == ("A_n", "S")
+    assert (events["rao"]["event"], events["rao"]["process"]) == ("A_n", "u")
+    assert (events["classic"]["m"], events["classic"]["sided"]) == (3, "upper")
+    assert (events["amini"]["m"], events["amini"]["sided"]) == (1, "abs")
+    assert events["classic"]["epsilon"] == events["amini"]["epsilon"] == 1.5
+
+
 def test_verify_corrupt_bound_trips_exit_2(tmp_path, monkeypatch):
     code = run(["verify", "--scenario", "rademacher-oracle", "--kind", "theorem1",
                 "--corrupt-bound", "--out", str(tmp_path)], monkeypatch, tmp_path)
