@@ -26,7 +26,7 @@ import numpy as np
 
 from ._digest import digest_of, event_a_n, event_max_ratio
 from .bounds import BoundReport
-from .distributions import RandomSequenceSpec
+from .distributions import CHUNK, RandomSequenceSpec
 from .errors import (
     DigestMismatchError,
     EnumerationSizeError,
@@ -149,7 +149,9 @@ def _region(event: str, phi: ShapeFunction | None, chi: ScaleFunction | None,
             sided: str = "abs", process: str = "S"):
     """An event's region as ``allowed(k, t)``: may the walk T (S, or u) have T_k = t?
 
-    ``k`` is a scalar or an array broadcast along the last axis of ``t``.
+    ``k`` is a scalar or an integer array that broadcasts against ``t``: the
+    estimators pass the steps along a path's axis, the dynamic program a
+    column of steps against a row of lattice values.
     ``event`` is "A_n" (phi(T_k) <= chi(b_k) for every k) or "max" (max over
     m <= k <= n of |T_k|/b_k, or T_k/b_k when ``sided`` is "upper", exceeds
     epsilon): a path is in A_n when every step is allowed, in max when one is not.
@@ -233,8 +235,11 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
     horizon n costs O(n^2) integer additions, not 2^n paths (path counting
     for the simple random walk, Feller, Vol. I, ch. III).  The region is the
     estimators' `_region`, tested on float64 values, so ties fall the same
-    way; ``event`` and the arguments after it are `_region`'s.  The result
-    is an exact dyadic rational; a point mass has one path.
+    way; ``event`` and the arguments after it are `_region`'s.  It is tested
+    once per block of consecutive steps, at most ``CHUNK`` lattice cells (a
+    single step when n + 1 > ``CHUNK`` / 2), and the counts are stepped in
+    two preallocated vectors.  The result is an exact dyadic rational; a
+    point mass has one path.
     """
     n = int(spec.n if n is None else n)
     if spec.family not in ("rademacher", "point_mass"):
@@ -250,14 +255,27 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
         stay = Fraction(_inside(allowed, path))
     else:
         down = -1 if process == "S" else 0
-        paths = np.ones(1, dtype=object)  # paths[j]: count with j up steps, in the region
-        for k in range(1, n + 1):
-            ups = np.arange(k + 1)
-            nxt = np.append(paths, 0)  # step k goes down: the up count stays
-            nxt[1:] += paths           # step k goes up
-            nxt[~allowed(k, (ups + (k - ups) * down).astype(np.float64))] = 0
-            paths = nxt
-        stay = Fraction(int(paths.sum()), 2 ** n)
+        # cur[j]: count of paths with j up steps after the last step, in the region
+        cur = np.zeros(n + 1, dtype=object)
+        nxt = np.zeros(n + 1, dtype=object)
+        cur[0] = 1
+        steps = np.arange(1, n + 1)[:, None]
+        up_counts = np.arange(n + 1)
+        rows = max(1, CHUNK // (n + 1))
+        for first in range(0, n, rows):
+            k = steps[first:first + rows]
+            ups = up_counts[:k[-1, 0] + 1]
+            # blocked[i, j]: the state (k[i], j) leaves the region; j > k[i] is no state
+            blocked = ~allowed(k, (ups + (k - ups) * down).astype(np.float64))
+            blocked &= ups <= k
+            for k_i, row, hit in zip(k[:, 0].tolist(), blocked, blocked.any(axis=1).tolist()):
+                nxt[0] = cur[0]              # no up step: step k goes down
+                nxt[k_i] = cur[k_i - 1]      # k up steps: step k goes up
+                np.add(cur[1:k_i], cur[:k_i - 1], out=nxt[1:k_i])
+                if hit:
+                    nxt[:k_i + 1][row[:k_i + 1]] = 0
+                cur, nxt = nxt, cur
+        stay = Fraction(int(cur.sum()), 2 ** n)
     return stay if event == "A_n" else 1 - stay
 
 
@@ -422,6 +440,11 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     diff = Tt[1:] - Tt[:-1]   # row j - 1: T_{j+1} - T_j
     cols = Tt[:-1]
     prod = np.empty_like(diff)
+    quartiles = {}
+    if "indicator_q25" in family or "indicator_q75" in family:
+        # one partition gives both indicator thresholds of every step
+        quartiles = dict(zip(("indicator_q25", "indicator_q75"),
+                             np.quantile(cols, [0.25, 0.75], axis=1)))
     margins = {}
     for name in family:
         if name == "const":
@@ -434,8 +457,7 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
                 g = np.clip(np.maximum.accumulate(cols, axis=0), -c, c)
                 g += c
             else:
-                q = np.quantile(cols, 0.25 if name == "indicator_q25" else 0.75, axis=1)
-                g = (cols > q[:, None]).astype(np.float64)
+                g = (cols > quartiles[name][:, None]).astype(np.float64)
             p = np.multiply(diff, g, out=prod)
         margins[name] = (p.mean(axis=1).tolist(),
                          (p.std(axis=1, ddof=1) / math.sqrt(R)).tolist(),

@@ -1,6 +1,7 @@
 """Monte Carlo estimates, exact enumeration, verdicts, demi margins, SLLN runs."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -29,6 +30,7 @@ from hrbounds.simulation import (
     binomial_estimate,
     demi_check,
     _ENUM_MAX_N,
+    _region,
     enumerate_exact,
     estimate_event_An,
     estimate_max_event,
@@ -254,8 +256,8 @@ def bitmask_enumerate(n, phi, chi, w, event, epsilon, m, sided, process):
 
 
 @st.composite
-def enumeration_cases(draw):
-    n = draw(st.integers(1, 16))
+def enumeration_cases(draw, max_n=16, exponents=(1.0, 2.0)):
+    n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(["power", "log", "custom"]))
     if kind == "power":
         w = WeightSequence.power(draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])), n)
@@ -269,7 +271,7 @@ def enumeration_cases(draw):
     eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
     rho = draw(st.sampled_from([1.0, 1.5, 2.0]))
     return dict(
-        n=n, w=w, phi=shape(draw(st.sampled_from([1.0, 2.0]))),
+        n=n, w=w, phi=shape(draw(st.sampled_from(exponents))),
         chi=ScaleFunction.linear(eps) if rho == 1.0 else ScaleFunction.power(eps, rho),
         event=draw(st.sampled_from(["A_n", "max"])), epsilon=eps,
         m=draw(st.integers(1, n)), sided=draw(st.sampled_from(["abs", "upper"])),
@@ -313,6 +315,81 @@ def test_enumeration_u_process_and_point_mass():
                            epsilon=1.0, sided="upper") == 0
     assert enumerate_exact(mass, PHI1, ScaleFunction.linear(0.5), WeightSequence.power(1.0, 3),
                            3, "A_n", process="u") == 1
+
+
+def per_step_enumerate(n, phi, chi, w, event, epsilon, m, sided, process):
+    """The dynamic program with a fresh region test and count vector at every step k."""
+    allowed = _region(event, phi, chi, w, n, epsilon, m, sided, process)
+    down = -1 if process == "S" else 0
+    paths = np.ones(1, dtype=object)
+    for k in range(1, n + 1):
+        ups = np.arange(k + 1)
+        nxt = np.append(paths, 0)
+        nxt[1:] += paths
+        nxt[~allowed(k, (ups + (k - ups) * down).astype(np.float64))] = 0
+        paths = nxt
+    stay = Fraction(int(paths.sum()), 2 ** n)
+    return stay if event == "A_n" else 1 - stay
+
+
+# |S_k| <= sqrt(k) through phi = |x|^1.5 and chi = b^1.5: the region binds in every block
+ROOT_ENVELOPE = dict(w=WeightSequence.power(0.5, 91), phi=ShapeFunction.abs_power(1.5),
+                     chi=ScaleFunction.power(1.0, 1.5), event="A_n", epsilon=1.0,
+                     sided="abs", process="S")
+
+
+@given(enumeration_cases(300, (1.0, 1.5, 2.0, 3.0)))
+@example(dict(ROOT_ENVELOPE, n=90, m=1))   # CHUNK // 91 = 90 rows: one block
+@example(dict(ROOT_ENVELOPE, n=91, m=1))   # CHUNK // 92 = 89 rows: two blocks
+@example(dict(ROOT_ENVELOPE, n=91, m=60, event="max", epsilon=0.75, sided="upper",
+              process="u", w=WeightSequence.custom([q / 4 for q in range(40, 131)])))
+@settings(max_examples=100, deadline=None)
+def test_blocked_region_test_equals_the_per_step_program(case):
+    got = enumerate_exact(rademacher(case["n"]), case["phi"], case["chi"], case["w"],
+                          case["n"], case["event"], case["epsilon"], case["m"],
+                          case["sided"], case["process"])
+    assert got == per_step_enumerate(**case)
+
+
+@pytest.mark.parametrize("process", ["S", "u"])
+@pytest.mark.parametrize("sided", ["abs", "upper"])
+@pytest.mark.parametrize("n", [91, 1000, _ENUM_MAX_N])
+def test_last_step_exceedance_is_a_binomial_tail(n, sided, process):
+    """With m = n the max event is one step's: a sum of C(n, j) / 2^n over j.
+
+    b_n = sqrt(n) is 64 at the cap, where |S_n| = 64 and u_n = 2080 meet
+    epsilon exactly, so abs (>=) and upper (>) differ by the tie.
+    """
+    w = WeightSequence.power(0.5, n)
+    b_n = float(w.materialize(n)[-1])
+    epsilon = 1.0 if process == "S" else (n + b_n) / (2 * b_n)
+    tail = 0
+    for j in range(n + 1):
+        t = float(2 * j - n if process == "S" else j)
+        ratio = (abs(t) if sided == "abs" else t) / b_n
+        if ratio >= epsilon if sided == "abs" else ratio > epsilon:
+            tail += math.comb(n, j)
+    got = enumerate_exact(rademacher(n), w=w, n=n, event="max", epsilon=epsilon, m=n,
+                          sided=sided, process=process)
+    assert got == Fraction(tail, 2 ** n)
+
+
+def test_enumeration_at_the_cap_keeps_no_lattice_sized_temporary():
+    """A region test of the whole (n + 1)^2 lattice at once would allocate >= 134 MB.
+
+    The band |S_k| <= 8 is tested at every step like any region, but only its
+    few states hold nonzero counts, so tracemalloc follows few integer sums.
+    """
+    n = _ENUM_MAX_N
+    tracemalloc.start()
+    try:
+        p = enumerate_exact(rademacher(n), PHI1, ScaleFunction.linear(8.0),
+                            WeightSequence.power(0.0, n), n, "A_n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < p < 1
+    assert peak < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
