@@ -43,7 +43,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch, resolve_batch
+from .sequences import TrajectoryBatch
 from .shape_functions import (
     ScaleFunction,
     ShapeFunction,
@@ -308,25 +308,20 @@ def _running_mean_drift(samples: np.ndarray) -> float:
     return float(np.max(rel)) if rel.size else 0.0
 
 
-def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
-                            n: int | None = None, replications: int = 10_000,
-                            seed: int = 0, threads: int = 1,
-                            batch: TrajectoryBatch | None = None) -> MomentProfile:
-    """Monte Carlo moment profile with isotonic projection and drift check.
+def estimate_moment_profile(batch: TrajectoryBatch, phi: ShapeFunction) -> MomentProfile:
+    """Monte Carlo moment profile of ``batch``'s law, with isotonic projection and drift check.
 
-    The non-integrability detector compares the half-sample and full-sample
-    running means entrywise; relative drift beyond 10% marks the profile as
-    non-integrable, and bound evaluators then refuse it.  A supplied
-    ``batch`` of the same law is read in place of drawing a new one.
+    Every row of the batch is one replicate.  The non-integrability detector
+    compares the half-sample and full-sample running means entrywise;
+    relative drift beyond 10% marks the profile as non-integrable, and bound
+    evaluators then refuse it.
     """
+    replications = batch.replications
     if replications < 100:
         raise ValidationError("moment estimation needs >= 100 replications")
-    target = spec if n is None else spec.with_n(int(n))
-    batch = resolve_batch(target, target.n, replications, seed, threads, batch)
     profile = {}
     drift = 0.0
-    for name, paths in (("u", batch.u[:replications, :target.n]),
-                        ("v", batch.v[:replications, :target.n])):
+    for name, paths in (("u", batch.u), ("v", batch.v)):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
             values = phi(paths)  # (R, n)
             mean = values.mean(axis=0)
@@ -335,9 +330,9 @@ def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
         profile[name] = (_pava(mean), se)
     non_integrable = drift > _DRIFT_LIMIT
     if not (non_integrable or all(np.all(np.isfinite(profile[s][0])) for s in "uv")):
-        raise _out_of_range(target, phi, "estimated phi means")
+        raise _out_of_range(batch.spec, phi, "estimated phi means")
     return MomentProfile(
-        n=target.n,
+        n=batch.n,
         e_phi_u=profile["u"][0],
         e_phi_v=profile["v"][0],
         provenance="estimated",
@@ -346,7 +341,7 @@ def estimate_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
         se_v=profile["v"][1],
         non_integrable=non_integrable,
         max_rel_drift=drift,
-        source=target.law(),
+        source=batch.spec.law(),
     )
 
 

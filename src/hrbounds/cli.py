@@ -535,7 +535,8 @@ def _write_json(path: Path, payload: dict) -> None:
 class _Draws:
     """The trajectory batch and moment profile that all kinds of one command share.
 
-    Each is made on first use and then kept, so a command draws its
+    ``batch`` is the only place a command builds a `TrajectoryBatch`.  Each
+    is made on first use and then kept, so a command draws its
     ``replications`` rows, in blocks of ``block_rows(n)`` rows per
     ``SeedSpec(master_seed, b)`` stream, at most once, and
     kinds that need neither (analytic-profile `bound`, `classic`, `amini`)
@@ -564,8 +565,7 @@ def _moment_profile(cfg: ExperimentConfig, draws: _Draws) -> MomentProfile:
         except AnalyticProfileUnavailable:
             if cfg.profile == "analytic":
                 raise
-    return estimate_moment_profile(cfg.sequence, cfg.shape, replications=cfg.replications,
-                                   seed=cfg.master_seed, batch=draws.batch)
+    return estimate_moment_profile(draws.batch, cfg.shape)
 
 
 def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
@@ -605,8 +605,7 @@ def _event_args(report, cfg: ExperimentConfig) -> dict:
 def _estimate_for(report, cfg: ExperimentConfig, draws: _Draws):
     event = _event_args(report, cfg)
     estimate = estimate_event_An if event.pop("event") == "A_n" else estimate_max_event
-    return estimate(cfg.sequence, w=cfg.weights, n=cfg.n, reps=cfg.replications,
-                    seed=cfg.master_seed, level=cfg.level, batch=draws.batch, **event)
+    return estimate(draws.batch, w=cfg.weights, level=cfg.level, **event)
 
 
 def _enumerable(cfg: ExperimentConfig) -> bool:
@@ -671,9 +670,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_check_demi(cfg: ExperimentConfig, out: Path, args) -> int:
     check_demi_size(cfg.replications, cfg.n)
-    batch = TrajectoryBatch.generate(cfg.sequence, cfg.replications, cfg.master_seed,
-                                     threads=args.threads)
-    report = demi_check(batch, cfg.process, cfg.family, cfg.level, phi=cfg.shape)
+    report = demi_check(_Draws(cfg, args.threads).batch, cfg.process, cfg.family, cfg.level,
+                        phi=cfg.shape)
     path = out / "check_demi.json"
     _write_json(path, _envelope(cfg, {"report": report.to_dict()}))
     print(f"process={report.process} pairs={len(report.records)} "
@@ -721,8 +719,11 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_enumerate(cfg: ExperimentConfig, out: Path, args) -> int:
+    if cfg.event == "max" and cfg.process != "S":
+        # the max event's bounds (classic, amini) and its estimate read S only
+        raise ValidationError(f"the max event is defined on S, not on process {cfg.process!r}")
     frac = enumerate_exact(cfg.sequence, cfg.shape, cfg.scale, cfg.weights, cfg.n,
-                           cfg.event, cfg.epsilon, cfg.m, cfg.sided)
+                           cfg.event, cfg.epsilon, cfg.m, cfg.sided, process=cfg.process)
     path = out / "enumerate.json"
     _write_json(path, _envelope(cfg, {
         "event": cfg.event,

@@ -247,20 +247,3 @@ class TrajectoryBatch:
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-
-def resolve_batch(spec: RandomSequenceSpec, n: int, reps: int, seed: int,
-                  threads: int, batch: TrajectoryBatch | None) -> TrajectoryBatch:
-    """The supplied batch, checked to hold reps x n rows of spec's law, or a new one.
-
-    Callers read ``[:reps, :n]`` of the result, so one batch drawn for a
-    command serves every estimate made from the same law.
-    """
-    if batch is None:
-        return TrajectoryBatch.generate(spec.with_n(n), reps, seed, threads=threads)
-    if batch.spec.law() != spec.law():
-        raise ValidationError("supplied batch was drawn from a different law")
-    if batch.n < n or batch.replications < reps:
-        raise ValidationError(
-            f"supplied batch is {batch.replications}x{batch.n}, need {reps}x{n}")
-    return batch

@@ -34,7 +34,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch, for_each_block, prefix_sum_chunks, resolve_batch
+from .sequences import TrajectoryBatch, for_each_block, prefix_sum_chunks
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
 
 # Largest sign-sequence horizon of the exact oracle.  There the dynamic program
@@ -186,38 +186,31 @@ def _inside(allowed, paths: np.ndarray) -> int:
 
 
 def check_event_reps(reps: int) -> None:
-    """Refuse an event estimate from fewer than 1000 rows, before any are drawn."""
+    """Refuse an event estimate from fewer than 1000 rows (`verify` checks before drawing)."""
     if reps < 1000:
         raise ValidationError("event estimation needs >= 1000 replications")
 
 
-def estimate_event_An(spec: RandomSequenceSpec, phi: ShapeFunction,
-                      chi: ScaleFunction, w: WeightSequence, n: int | None = None,
-                      reps: int = 10_000, seed: int = 0, level: float = 0.99,
-                      threads: int = 1, batch: TrajectoryBatch | None = None,
+def estimate_event_An(batch: TrajectoryBatch, phi: ShapeFunction, chi: ScaleFunction,
+                      w: WeightSequence, level: float = 0.99,
                       process: str = "S") -> MonteCarloEstimate:
-    """Estimate P(phi(T_k) <= chi(b_k) simultaneously for all k <= n), T = S or u."""
-    n = int(spec.n if n is None else n)
+    """Estimate P(phi(T_k) <= chi(b_k) for all k <= n), T = S or u, over the rows of ``batch``."""
+    n, reps = batch.n, batch.replications
     allowed = _region("A_n", phi, chi, w, n, process=process)
     check_event_reps(reps)
-    batch = resolve_batch(spec, n, reps, seed, threads, batch)
-    paths = batch.s if process == "S" else batch.u
-    return binomial_estimate(_inside(allowed, paths[:reps, :n]), reps, level,
-                             event=event_a_n(spec.law(), phi, chi, w, n, process=process))
+    return binomial_estimate(_inside(allowed, batch.s if process == "S" else batch.u), reps, level,
+                             event=event_a_n(batch.spec.law(), phi, chi, w, n, process=process))
 
 
-def estimate_max_event(spec: RandomSequenceSpec, w: WeightSequence, epsilon: float,
-                       m: int = 1, n: int | None = None, reps: int = 10_000,
-                       seed: int = 0, sided: str = "abs", level: float = 0.99,
-                       threads: int = 1,
-                       batch: TrajectoryBatch | None = None) -> MonteCarloEstimate:
-    """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon)."""
-    n = int(spec.n if n is None else n)
+def estimate_max_event(batch: TrajectoryBatch, w: WeightSequence, epsilon: float,
+                       m: int = 1, sided: str = "abs",
+                       level: float = 0.99) -> MonteCarloEstimate:
+    """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon) over the rows of ``batch``."""
+    n, reps = batch.n, batch.replications
     allowed = _region("max", None, None, w, n, epsilon, m, sided)
     check_event_reps(reps)
-    batch = resolve_batch(spec, n, reps, seed, threads, batch)
-    return binomial_estimate(reps - _inside(allowed, batch.s[:reps, :n]), reps, level,
-                             event=event_max_ratio(spec.law(), w, m, n, epsilon, sided))
+    return binomial_estimate(reps - _inside(allowed, batch.s), reps, level,
+                             event=event_max_ratio(batch.spec.law(), w, m, n, epsilon, sided))
 
 
 def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,

@@ -70,8 +70,7 @@ def test_criterion_1_lower_bound_never_violated():
                         chi = (ScaleFunction.linear(eps) if nu == 1.0
                                else ScaleFunction.power(eps ** 2, 2.0))
                         report = bound_theorem1(phi, chi, w, mp)
-                        est = estimate_event_An(spec, phi, chi, w, n, REPS,
-                                                GRID_SEED, batch=batch)
+                        est = estimate_event_An(batch, phi, chi, w)
                         tally[verify_bound(est, report)] += 1
     elapsed = time.time() - start
     cells = sum(tally.values())
@@ -104,7 +103,7 @@ def test_criterion_2_exact_oracle_equivalence():
     covered = sum(
         1 for seed in range(100)
         if (lambda e: e.ci_low <= exact <= e.ci_high)(
-            estimate_event_An(spec, PHI1, chi, w, 8, 2000, seed)))
+            estimate_event_An(TrajectoryBatch.generate(spec, 2000, seed), PHI1, chi, w)))
     ok = dominated and covered >= 97
     _criterion(2, ok, f"max(bound - exact) = {worst_gap:.2e}, "
                       f"CI covered exact p=1/16 in {covered}/100 seeds")
@@ -123,14 +122,12 @@ def test_criterion_3_quadratic_shape_recovery():
             w = WeightSequence.power(beta, n)
             for eps in (2.0, 5.0, 10.0):
                 report = bound_theorem1(PHI2, ScaleFunction.linear(eps), w, mp)
-                est = estimate_event_An(spec, PHI2, ScaleFunction.linear(eps),
-                                        w, n, REPS, 41, batch=batch)
+                est = estimate_event_An(batch, PHI2, ScaleFunction.linear(eps), w)
                 tally[verify_bound(est, report)] += 1
 
                 amini = bound_amini(np.full(n, sigma), w, n, eps,
                                     source=spec.law())
-                amax = estimate_max_event(spec, w, eps, 1, n, REPS, 41,
-                                          batch=batch)
+                amax = estimate_max_event(batch, w, eps, 1)
                 tally[verify_bound(amax, amini)] += 1
     ok = tally["violation"] == 0 and sum(tally.values()) == 36
     _criterion(3, ok, f"36 paired cells, no hypothesis errors, "
@@ -145,7 +142,7 @@ def test_criterion_4_heavy_tail_separation():
 
     with pytest.raises(NonIntegrabilityError):
         analytic_moment_profile(spec, PHI2)
-    est_mp = estimate_moment_profile(spec, PHI2, replications=2000, seed=0)
+    est_mp = estimate_moment_profile(TrajectoryBatch.generate(spec, 2000, 0), PHI2)
     refused = est_mp.non_integrable
     with pytest.raises(NonIntegrabilityError):
         bound_theorem1(PHI2, chi, w, est_mp)

@@ -1,7 +1,7 @@
 """Bound calculators against worked values, algebraic identities, and oracles."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,13 +48,6 @@ def nondecreasing_moments(draw_min=0.0):
         lambda incs: tuple(float(x) for x in np.cumsum(incs)))
 
 
-def same_profile(a: MomentProfile, b: MomentProfile) -> bool:
-    """Field by field, vectors compared by their float64 bytes."""
-    def key(v):
-        return v.tobytes() if isinstance(v, np.ndarray) else v
-    return all(key(getattr(a, f.name)) == key(getattr(b, f.name)) for f in fields(a))
-
-
 def u_profile(us) -> MomentProfile:
     """An analytic profile with E[phi(u_k)] = us and E[phi(v_k)] = 0."""
     return MomentProfile(n=len(us), e_phi_u=us, e_phi_v=(0.0,) * len(us))
@@ -86,7 +79,7 @@ class TestTheorem1:
         assert not rep.informative
 
     def test_refuses_non_integrable_profile(self):
-        mp = estimate_moment_profile(STABLE15(16), PHI2, replications=2000, seed=0)
+        mp = estimate_moment_profile(TrajectoryBatch.generate(STABLE15(16), 2000, 0), PHI2)
         assert mp.non_integrable
         with pytest.raises(NonIntegrabilityError):
             bound_theorem1(PHI2, ScaleFunction.linear(1.0),
@@ -103,9 +96,8 @@ class TestTheorem1:
         chi = ScaleFunction.linear(5.0)
         w = WeightSequence.power(1.0, 6)
         exact = bound_theorem1(PHI1, chi, w, analytic_moment_profile(spec, PHI1))
-        est = bound_theorem1(PHI1, chi, w,
-                             estimate_moment_profile(spec, PHI1,
-                                                     replications=40_000, seed=8))
+        batch = TrajectoryBatch.generate(spec, 40_000, 8)
+        est = bound_theorem1(PHI1, chi, w, estimate_moment_profile(batch, PHI1))
         assert est.raw_value == pytest.approx(exact.raw_value, abs=0.02)
 
     def test_lower_bound_monotone_in_epsilon(self):
@@ -161,7 +153,7 @@ class TestRao:
             u_profile(())
 
     def test_refuses_non_integrable_profile(self):
-        mp = estimate_moment_profile(STABLE15(16), PHI2, replications=2000, seed=0)
+        mp = estimate_moment_profile(TrajectoryBatch.generate(STABLE15(16), 2000, 0), PHI2)
         assert mp.non_integrable
         with pytest.raises(NonIntegrabilityError):
             bound_rao(PHI2, ScaleFunction.linear(1.0), WeightSequence.power(1.0, 16), mp)
@@ -260,31 +252,10 @@ class TestAmini:
 class TestMomentProfiles:
     def test_point_mass_zero_profile(self):
         spec = RandomSequenceSpec("point_mass", 4, (("c", 0.0),))
-        mp = estimate_moment_profile(spec, PHI1, replications=200, seed=0)
+        mp = estimate_moment_profile(TrajectoryBatch.generate(spec, 200, 0), PHI1)
         np.testing.assert_array_equal(mp.e_phi_u, np.zeros(4))
         np.testing.assert_array_equal(mp.e_phi_v, np.zeros(4))
         np.testing.assert_array_equal(mp.se_u, np.zeros(4))
-
-    def test_supplied_batch_gives_the_same_profile(self):
-        spec = GAUSS(6)
-        alone = estimate_moment_profile(spec, PHI1, replications=500, seed=4)
-        exact_fit = TrajectoryBatch.generate(spec, 500, 4)
-        more_rows = TrajectoryBatch.generate(spec, 800, 4)
-        for batch in (exact_fit, more_rows):
-            assert same_profile(estimate_moment_profile(spec, PHI1, replications=500,
-                                                        seed=4, batch=batch), alone)
-
-    def test_supplied_batch_is_validated(self):
-        spec = GAUSS(6)
-        other_law = TrajectoryBatch.generate(RandomSequenceSpec("rademacher", 6), 500, 4)
-        with pytest.raises(ValidationError, match="different law"):
-            estimate_moment_profile(spec, PHI1, replications=500, seed=4, batch=other_law)
-        too_few = TrajectoryBatch.generate(spec, 300, 4)
-        with pytest.raises(ValidationError, match="300x6, need 500x6"):
-            estimate_moment_profile(spec, PHI1, replications=500, seed=4, batch=too_few)
-        too_short = TrajectoryBatch.generate(GAUSS(4), 500, 4)
-        with pytest.raises(ValidationError, match="500x4, need 500x6"):
-            estimate_moment_profile(spec, PHI1, replications=500, seed=4, batch=too_short)
 
     def test_point_mass_analytic_any_exponent(self):
         spec = RandomSequenceSpec("point_mass", 3, (("c", -2.0),))
@@ -294,13 +265,13 @@ class TestMomentProfiles:
 
     def test_rademacher_estimated_linear_growth(self):
         """E[u_k] = k/2 for sign increments; 1e5 replications, 4 se."""
-        mp = estimate_moment_profile(RandomSequenceSpec("rademacher", 3), PHI1,
-                                     replications=100_000, seed=0)
+        mp = estimate_moment_profile(
+            TrajectoryBatch.generate(RandomSequenceSpec("rademacher", 3), 100_000, 0), PHI1)
         for k in range(3):
             assert abs(mp.e_phi_u[k] - 0.5 * (k + 1)) <= 4 * mp.se_u[k]
 
     def test_gaussian_half_normal_first_entry(self):
-        mp = estimate_moment_profile(GAUSS(1), PHI1, replications=100_000, seed=1)
+        mp = estimate_moment_profile(TrajectoryBatch.generate(GAUSS(1), 100_000, 1), PHI1)
         assert abs(mp.e_phi_u[0] - 1.0 / math.sqrt(2 * math.pi)) <= 4 * mp.se_u[0]
 
     @pytest.mark.parametrize("family,params,nu,seed", [
@@ -312,7 +283,7 @@ class TestMomentProfiles:
         spec = RandomSequenceSpec(family, 6, params)
         phi = ShapeFunction.abs_power(nu)
         a = analytic_moment_profile(spec, phi)
-        e = estimate_moment_profile(spec, phi, replications=20_000, seed=seed)
+        e = estimate_moment_profile(TrajectoryBatch.generate(spec, 20_000, seed), phi)
         for k in range(6):
             assert abs(a.e_phi_u[k] - e.e_phi_u[k]) <= 4 * e.se_u[k]
             assert abs(a.e_phi_v[k] - e.e_phi_v[k]) <= 4 * e.se_v[k]
@@ -322,7 +293,7 @@ class TestMomentProfiles:
             analytic_moment_profile(STABLE15(8), PHI2)
 
     def test_stable_second_moment_estimation_detector(self):
-        mp = estimate_moment_profile(STABLE15(32), PHI2, replications=2000, seed=0)
+        mp = estimate_moment_profile(TrajectoryBatch.generate(STABLE15(32), 2000, 0), PHI2)
         assert mp.non_integrable
         assert mp.max_rel_drift > 0.10
 
@@ -337,7 +308,7 @@ class TestMomentProfiles:
             analytic_moment_profile(GAUSS(4), ShapeFunction.abs_power(1.5))
 
     def test_estimated_profiles_are_isotonic(self):
-        mp = estimate_moment_profile(STABLE15(16), PHI1, replications=500, seed=4)
+        mp = estimate_moment_profile(TrajectoryBatch.generate(STABLE15(16), 500, 4), PHI1)
         assert all(b >= a - 1e-12 for a, b in zip(mp.e_phi_u, mp.e_phi_u[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(mp.e_phi_v, mp.e_phi_v[1:]))
 
@@ -353,8 +324,8 @@ class TestMomentProfiles:
         assert abs(math.fsum(fit) - math.fsum(y)) <= tol
 
     def test_replication_floor(self):
-        with pytest.raises(ValidationError):
-            estimate_moment_profile(GAUSS(2), PHI1, replications=99, seed=0)
+        with pytest.raises(ValidationError, match=">= 100 replications"):
+            estimate_moment_profile(TrajectoryBatch.generate(GAUSS(2), 99, 0), PHI1)
 
 
 class TestVectorsAreFrozenArrays:
@@ -373,7 +344,7 @@ class TestVectorsAreFrozenArrays:
 
     def test_computed_profiles_hold_read_only_arrays(self):
         for mp in (analytic_moment_profile(GAUSS(5), PHI1),
-                   estimate_moment_profile(GAUSS(5), PHI1, replications=200, seed=0)):
+                   estimate_moment_profile(TrajectoryBatch.generate(GAUSS(5), 200, 0), PHI1)):
             for vec in (mp.e_phi_u, mp.e_phi_v):
                 assert vec.dtype == np.float64 and vec.shape == (5,)
                 assert not vec.flags.writeable

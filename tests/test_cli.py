@@ -968,6 +968,33 @@ def test_enumerate_a_thousand_steps_matches_integer_path_counts(tmp_path, monkey
     assert frac == 1 - Fraction(sum(counts.values()), 2 ** n)
 
 
+U_WALK = dict(BASE, sequence={"family": "rademacher", "n": 2}, process="u",
+              scale={"kind": "linear", "epsilon": 1.0},
+              weights={"kind": "custom", "values": [1.0, 1.0]})
+
+
+def test_enumerate_reads_the_configured_process(tmp_path, monkeypatch, capsys):
+    # u_2 <= 1 fails only on the path (+1, +1); |S_k| <= 1 never fails
+    code = run(["enumerate", "--config", write_config(tmp_path, U_WALK),
+                "--out", str(tmp_path)], monkeypatch, tmp_path)
+    assert code == 0
+    assert capsys.readouterr().out.startswith("exact = 3/4 = ")
+    doc = json.loads((tmp_path / "enumerate.json").read_text())
+    assert (doc["numerator"], doc["denominator"]) == (3, 4)
+
+
+def test_enumerate_refuses_the_max_event_off_s(tmp_path, monkeypatch, capsys):
+    cfg = dict(U_WALK, event="max", epsilon=0.5)
+    out = tmp_path / "out"
+    code = run(["enumerate", "--config", write_config(tmp_path, cfg),
+                "--out", str(out)], monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError",
+        "message": "the max event is defined on S, not on process 'u'"}
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # output discipline
 

@@ -191,13 +191,16 @@ def test_single_row_block_is_the_one_dimensional_draw(spec):
     np.testing.assert_array_equal(block[0], one)
 
 
-def test_alpha_stable_batch_is_a_prefix_of_a_larger_one():
-    # The two uniform arrays of a block would shift if the last block were drawn short.
-    spec = RandomSequenceSpec.alpha_stable(32, alpha=1.2, beta=-0.5)
-    small = TrajectoryBatch.generate(spec, 700, master_seed=5)
-    large = TrajectoryBatch.generate(spec, 1700, master_seed=5)
-    np.testing.assert_array_equal(small.x, large.x[:700])
-    np.testing.assert_array_equal(small.s, large.s[:700])
+@pytest.mark.parametrize("spec, rows, more, seed", [
+    # the two uniform arrays of a block would shift if the last block were drawn short
+    (RandomSequenceSpec.alpha_stable(32, alpha=1.2, beta=-0.5), 700, 1700, 5),
+    (RandomSequenceSpec.gaussian(6), 500, 800, 4),
+], ids=["alpha_stable", "gaussian"])
+def test_batch_is_a_prefix_of_a_larger_one(spec, rows, more, seed):
+    small = TrajectoryBatch.generate(spec, rows, master_seed=seed)
+    large = TrajectoryBatch.generate(spec, more, master_seed=seed)
+    for name in ("x", "s", "u", "v"):
+        np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:rows])
 
 
 def test_batch_thread_count_does_not_change_values():

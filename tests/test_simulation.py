@@ -97,42 +97,41 @@ def test_estimate_invariants_enforced():
 
 
 def test_event_an_point_mass_zero_is_certain():
-    est = estimate_event_An(RandomSequenceSpec("point_mass", 4, (("c", 0.0),)),
-                            PHI1, ScaleFunction.linear(1.0),
-                            WeightSequence.power(1.0, 4), 4, reps=1000, seed=0)
+    batch = TrajectoryBatch.generate(RandomSequenceSpec("point_mass", 4, (("c", 0.0),)), 1000, 0)
+    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(1.0), WeightSequence.power(1.0, 4))
     assert est.p_hat == 1.0
 
 
 def test_event_an_wide_envelope_is_certain():
-    est = estimate_event_An(rademacher(2), PHI1, ScaleFunction.linear(10.0),
-                            WeightSequence.power(1.0, 2), 2, reps=1000, seed=0)
+    batch = TrajectoryBatch.generate(rademacher(2), 1000, 0)
+    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(10.0), WeightSequence.power(1.0, 2))
     assert est.p_hat == 1.0
 
 
 def test_event_an_tight_envelope_half():
-    est = estimate_event_An(rademacher(2), PHI1, ScaleFunction.linear(1.0),
-                            WeightSequence.custom([1.0, 1.0]), 2, reps=4000, seed=0)
+    batch = TrajectoryBatch.generate(rademacher(2), 4000, 0)
+    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(1.0),
+                            WeightSequence.custom([1.0, 1.0]))
     assert est.ci_low <= 0.5 <= est.ci_high
 
 
 def test_max_event_examples():
-    assert estimate_max_event(RandomSequenceSpec("point_mass", 3, (("c", 0.0),)),
-                              WeightSequence.power(1.0, 3), 1.0, 1, 3,
-                              reps=1000, seed=0).p_hat == 0.0
-    assert estimate_max_event(rademacher(2), WeightSequence.custom([1.0, 2.0]),
-                              0.9, 1, 2, reps=1000, seed=1).p_hat == 1.0
-    half = estimate_max_event(rademacher(2), WeightSequence.custom([2.0, 2.0]),
-                              0.9, 1, 2, reps=4000, seed=2)
+    zero = TrajectoryBatch.generate(RandomSequenceSpec("point_mass", 3, (("c", 0.0),)), 1000, 0)
+    assert estimate_max_event(zero, WeightSequence.power(1.0, 3), 1.0, 1).p_hat == 0.0
+    signs = TrajectoryBatch.generate(rademacher(2), 1000, 1)
+    assert estimate_max_event(signs, WeightSequence.custom([1.0, 2.0]), 0.9, 1).p_hat == 1.0
+    half = estimate_max_event(TrajectoryBatch.generate(rademacher(2), 4000, 2),
+                              WeightSequence.custom([2.0, 2.0]), 0.9, 1)
     assert half.ci_low <= 0.5 <= half.ci_high
 
 
 def test_sidedness_at_the_boundary():
     # S_k/b_k is exactly 1 for a unit point mass with b_k = k, so the
     # inclusive reading fires and the strict one does not
-    spec = RandomSequenceSpec("point_mass", 3, (("c", 1.0),))
+    batch = TrajectoryBatch.generate(RandomSequenceSpec("point_mass", 3, (("c", 1.0),)), 1000, 0)
     w = WeightSequence.power(1.0, 3)
-    assert estimate_max_event(spec, w, 1.0, 1, 3, 1000, 0, sided="abs").p_hat == 1.0
-    assert estimate_max_event(spec, w, 1.0, 1, 3, 1000, 0, sided="upper").p_hat == 0.0
+    assert estimate_max_event(batch, w, 1.0, 1, sided="abs").p_hat == 1.0
+    assert estimate_max_event(batch, w, 1.0, 1, sided="upper").p_hat == 0.0
 
 
 @st.composite
@@ -168,7 +167,7 @@ def test_estimators_count_the_rows_a_loop_counts(case):
         for row in paths:
             values = phi(row)
             inside += all(values[k] <= envelope[k] for k in range(n))
-        est = estimate_event_An(spec, phi, chi, w, n, reps, batch=batch, process=process)
+        est = estimate_event_An(batch, phi, chi, w, process=process)
         assert est.p_hat == inside / reps
         assert est.event["process"] == process
     for sided, m in zip(("abs", "upper"), case["ms"]):
@@ -176,17 +175,19 @@ def test_estimators_count_the_rows_a_loop_counts(case):
         for row in batch.s:
             ratios = [(abs(row[k]) if sided == "abs" else row[k]) / b[k] for k in range(m - 1, n)]
             hits += any(r >= eps if sided == "abs" else r > eps for r in ratios)
-        est = estimate_max_event(spec, w, eps, m, n, reps, sided=sided, batch=batch)
+        est = estimate_max_event(batch, w, eps, m, sided=sided)
         assert est.p_hat == hits / reps
 
 
 def test_estimator_preconditions():
-    with pytest.raises(ValidationError):
-        estimate_event_An(rademacher(2), PHI1, ScaleFunction.linear(1.0),
-                          WeightSequence.power(1.0, 2), 2, reps=999, seed=0)
+    too_few = TrajectoryBatch.generate(rademacher(2), 999, 0)
+    with pytest.raises(ValidationError, match=">= 1000 replications"):
+        estimate_event_An(too_few, PHI1, ScaleFunction.linear(1.0), WeightSequence.power(1.0, 2))
+    with pytest.raises(ValidationError, match=">= 1000 replications"):
+        estimate_max_event(too_few, WeightSequence.power(1.0, 2), 1.0)
     with pytest.raises(IndexError):
-        estimate_max_event(rademacher(4), WeightSequence.power(1.0, 4),
-                           1.0, m=5, n=4, reps=1000, seed=0)
+        estimate_max_event(TrajectoryBatch.generate(rademacher(4), 1000, 0),
+                           WeightSequence.power(1.0, 4), 1.0, m=5)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +423,13 @@ def test_verdict_vacuous_for_clamped_bounds():
 
 def test_verdict_digest_guard():
     rep = _theorem1_report()
-    est = estimate_event_An(rademacher(2), PHI1, ScaleFunction.linear(10.0),
-                            WeightSequence.power(1.0, 2), 2, reps=1000, seed=0)
+    batch = TrajectoryBatch.generate(rademacher(2), 1000, 0)
+    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(10.0), WeightSequence.power(1.0, 2))
     assert est.event_digest == rep.inputs_digest
     assert verify_bound(est, rep) == "consistent"
 
-    other = estimate_event_An(rademacher(2), PHI1, ScaleFunction.linear(9.0),
-                              WeightSequence.power(1.0, 2), 2, reps=1000, seed=0)
+    other = estimate_event_An(batch, PHI1, ScaleFunction.linear(9.0),
+                              WeightSequence.power(1.0, 2))
     with pytest.raises(DigestMismatchError):
         verify_bound(other, rep)
 
