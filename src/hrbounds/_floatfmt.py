@@ -2,9 +2,9 @@
 
 ``join(a, sep)`` returns ``sep.join("%.17g" % v for v in a)`` byte for byte,
 at a fraction of the per-element cost; ``pieces(a, sep)`` yields the same
-text one chunk at a time, for a caller that writes it without joining.  It
-works through ``distributions.CHUNK`` entries at a time in reused work
-buffers:
+text as ASCII ``bytes``, one chunk at a time, for a caller that writes it
+to a binary file without joining or encoding.  It works through
+``distributions.CHUNK`` entries at a time in reused work buffers:
 
 1. E = floor(log10|x|), and y = |x| * 10^(16 - E) as a double-double
    product of x with a table of 10^k, each entry a correctly rounded
@@ -13,10 +13,14 @@ buffers:
 2. The exponent after rounding picks the ``%g`` layout: fixed notation iff
    -4 <= E < 17, otherwise exponent notation with at least two exponent
    digits; trailing zeros are stripped, and a set sign bit writes ``-``.
-3. Each entry's bytes go into one row of a byte template holding every
-   character any layout can need, with a zero in each slot the layout does
-   not use; ``bytearray.translate`` drops the zeros (``np.compress`` would
-   build an 8-byte index for every byte it keeps).
+3. Each entry's bytes go into one row of a byte template: a sign slot, five
+   prefix slots ("0.000" of fixed notation below 1), 18 digit slots and five
+   exponent slots ("e-308"), with a zero in each slot the layout does not
+   use.  The 17 digits fill digit slots 0-16.  Where a "." falls among them,
+   after digit ``lead(E) - 1``, the digits from that slot on move one slot
+   right and the "." takes it, so a row has one dot slot, not one after
+   every digit.  ``bytearray.translate`` drops the zeros (``np.compress``
+   would build an 8-byte index for every byte it keeps).
 
 Error bound.  The product is p + t with p = fl(|x| hi) (an integer, since
 p >= 2^53 for every y in [10^16, 10^17)) and t = err(|x| hi) + fl(|x| lo),
@@ -52,10 +56,10 @@ _EMAX = 281
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting factor
 
 # Bytes of one entry after the separator, in output order: the sign, the
-# "0.000" prefix of fixed notation below 1, the 17 digits with a "." slot
-# after each of the first 16, then "e", the exponent's sign and three
-# exponent digits.  A zero byte is dropped.
-_SIGN, _PRE, _DIG, _EXP, _WIDTH = 0, 1, 6, 39, 44
+# "0.000" prefix of fixed notation below 1, 18 slots for the 17 digits and
+# at most one ".", then "e", the exponent's sign and three exponent digits.
+# A zero byte is dropped.  Slots 0-7 and 21-28 are written as two words.
+_SIGN, _PRE, _DIG, _EXP, _WIDTH = 0, 1, 6, 24, 29
 _J17 = np.arange(17, dtype=np.uint8)[:, None]
 
 
@@ -66,14 +70,16 @@ def _tables():
     ``hh, hl, lo``: 10^(16 - E) = hi + lo, hi and lo each correctly rounded
     from integer arithmetic (CPython's int-to-float conversion and int true
     division round correctly), and hi = hh + hl exactly with each part at
-    most 26 bits wide.  ``lead``: digits before the "." slot at exponent E
-    (0 in fixed notation below 1, 1 in exponent notation).  ``affix``: the
-    5 prefix and 5 exponent bytes at exponent E, zero where absent.  And
-    ``quad``, not indexed by E: the four ASCII digits of 0..9999, (4, 10^4).
+    most 26 bits wide.  ``lead``: digits before the "." at exponent E (0 in
+    fixed notation below 1, 1 in exponent notation).  ``prefix`` and
+    ``suffix``: words whose little-endian bytes 1-5 hold the 5 prefix bytes,
+    and bytes 3-7 the 5 exponent bytes, at exponent E, zero where absent.
+    And ``quad``, not indexed by E: the four ASCII digits of 0..9999,
+    (4, 10^4).
     """
     hi, lo = [], []
     lead = np.empty(2 * _EMAX + 1, dtype=np.uint8)
-    affix = np.zeros((2 * _EMAX + 1, 10), dtype=np.uint8)
+    prefix, suffix = [], []
     for j, e in enumerate(range(-_EMAX, _EMAX + 1)):
         k = 16 - e
         if k >= 0:
@@ -92,13 +98,16 @@ def _tables():
             digits = f"{abs(e):03d}"
             text = "\0" * 5 + ("e-" if e < 0 else "e+") + (
                 digits if abs(e) >= 100 else "\0" + digits[1:])
-        affix[j] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        text = text.encode("ascii")
+        prefix.append(int.from_bytes(text[:5], "little") << 8)
+        suffix.append(int.from_bytes(text[5:], "little") << 24)
     hi = np.array(hi)
     c = hi * _SPLIT
     hh = c - (c - hi)
     quad = np.frombuffer("".join(f"{i:04d}" for i in range(10 ** 4)).encode("ascii"),
                          dtype=np.uint8).reshape(-1, 4).T.copy()
-    tables = hh, hi - hh, np.array(lo), lead, affix, quad
+    tables = (hh, hi - hh, np.array(lo), lead,
+              np.array(prefix, dtype=np.uint64), np.array(suffix, dtype=np.uint64), quad)
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -106,21 +115,29 @@ def _tables():
 
 class _Work:
     """Work buffers for chunks of up to m entries, reused from chunk to chunk
-    so that no chunk allocates (and faults in) fresh pages."""
+    so that no chunk allocates (and faults in) fresh pages.  The float rows
+    ``f`` of ``_decimal`` are dead once it returns, so the affix words, and
+    after them the digit rows and their mask, are views of the same memory."""
 
     def __init__(self, m: int, sep: bytes):
         s = len(sep)
-        self.raw = bytearray(m * (s + _WIDTH))
-        self.rows = np.frombuffer(self.raw, dtype=np.uint8).reshape(m, s + _WIDTH)
+        width = s + _WIDTH
+        self.raw = bytearray(m * width)
+        self.rows = np.frombuffer(self.raw, dtype=np.uint8).reshape(m, width)
         self.rows[:, :s] = np.frombuffer(sep, dtype=np.uint8)
         self.f = np.empty((8, m))
         self.n = np.empty((4, m), dtype=np.int64)
         self.b = np.empty((4, m), dtype=bool)
         self.u8 = np.empty((3, m), dtype=np.uint8)
-        self.digits = np.empty((17, m), dtype=np.uint8)
-        self.d17 = np.empty((17, m), dtype=np.uint8)
-        self.affix = np.empty((m, 10), dtype=np.uint8)
-        self.base = np.arange(m) * self.rows.shape[1]
+        self.words = self.f[:2].view(np.uint64)
+        shared = self.f.reshape(-1).view(np.uint8)
+        self.digits = shared[:18 * m].reshape(18, m)
+        self.slots = shared[18 * m:37 * m].reshape(19, m)
+        self.mask = shared[37 * m:54 * m].reshape(17, m)
+        self.col = np.arange(m)
+        # slots 0-7 and 21-28 of every entry, as unaligned little-endian words
+        self.ends = [np.ndarray((m,), dtype="<u8", buffer=self.raw, offset=s + i,
+                                strides=(width,)) for i in (_SIGN, _WIDTH - 8)]
 
 
 def _decimal(x: np.ndarray, w: _Work):
@@ -189,16 +206,17 @@ def join(a, sep: str) -> str:
     """``sep.join("%.17g" % v for v in a)`` for a 1-D float64 array ``a``.
 
     ``sep`` is ASCII without NUL bytes."""
-    return "".join(pieces(a, sep))
+    return b"".join(pieces(a, sep)).decode("ascii")
 
 
 def pieces(a, sep: str):
-    """Yield ``join(a, sep)`` in consecutive pieces, one per chunk of ``a``:
-    the first without a leading ``sep``, every later one starting with it."""
+    """Yield ``join(a, sep)`` as ASCII ``bytes`` pieces, one per chunk of
+    ``a``: the first without a leading ``sep``, every later one starting
+    with it."""
     a = np.asarray(a, dtype=np.float64).ravel()
     if a.size == 0:
         return
-    *_, lead, affix, quad = _tables()
+    *_, lead, prefix, suffix, quad = _tables()
     sepb = sep.encode("ascii")
     s = len(sepb)
     m = min(a.size, CHUNK)
@@ -210,7 +228,16 @@ def pieces(a, sep: str):
         neg, slow = _decimal(x, w)
         d, ei, q, at = w.n[:, :k]
         before, ndig, nd = w.u8[:, :k]
-        dg, d17 = w.digits[:, :k], w.d17[:, :k]
+        # the sign and prefix, and the exponent, as one word each: the digit
+        # slots they cover are written over below
+        t, u = w.words[:, :k]
+        np.take(prefix, ei, out=t, mode="clip")
+        np.multiply(neg, np.uint64(ord("-")), out=u)
+        t |= u
+        w.ends[0][:k] = t
+        np.take(suffix, ei, out=t, mode="clip")
+        w.ends[1][:k] = t
+        dg, slots, mask = w.digits[:, :k], w.slots[:, :k], w.mask[:, :k]
         # digits: D = top 10^16 + (g1 10^4 + g2) 10^8 + g3 10^4 + g4
         np.floor_divide(d, 10 ** 8, out=q)
         np.multiply(q, 10 ** 8, out=at)
@@ -225,27 +252,36 @@ def pieces(a, sep: str):
             at *= 10 ** 4
             np.subtract(g, at, out=at)
             np.take(quad, at, axis=1, out=dg[row + 4:row + 8], mode="clip")
-        # significant digits, kept digits and the "." after digit before - 1
-        np.not_equal(dg, 48, out=d17)
-        d17 *= _J17 + 1
-        np.max(d17, axis=0, out=ndig)
+        dg[17] = 0
+        # significant digits, kept digits (the trailing zeros stripped)
+        np.not_equal(dg[:17], 48, out=mask)
+        mask *= _J17 + 1
+        np.max(mask, axis=0, out=ndig)
         np.take(lead, ei, out=before, mode="clip")
         np.maximum(before, ndig, out=nd)
-        np.less(_J17, nd, out=d17)
-        dg *= d17
+        np.less(_J17, nd, out=mask)
+        dg[:17] *= mask
+        # The "." goes into digit slot `before` where a digit follows it, and
+        # the digits from that slot on move one slot right.  A row without a
+        # "." in its digits (no digit follows, or "0." is its prefix) gets
+        # before = 18: nothing moves, and its "." lands in slot 18, which is
+        # not written out.
+        undotted, zero_lead = w.b[1, :k], w.b[3, :k]
+        np.less_equal(ndig, before, out=undotted)
+        np.equal(before, 0, out=zero_lead)
+        undotted |= zero_lead
+        np.multiply(undotted, np.uint8(18), out=nd)
+        np.maximum(before, nd, out=before)
+        np.less(_J17 + 1, before, out=mask)  # slot j keeps digit j, else takes j - 1
+        np.subtract(dg[1:], dg[:17], out=slots[1:18])
+        slots[1:18] *= mask
+        slots[1:18] += dg[:17]
+        slots[0] = dg[0]
+        np.multiply(before, np.int64(m), out=at)
+        at += w.col[:k]
+        w.slots.reshape(-1)[at] = ord(".")
         ent = w.rows[:k, s:]
-        ent[:, _DIG:_EXP:2] = dg.T
-        # a row without a "." writes it into its sign slot, overwritten below
-        np.multiply(before, 2, out=at)
-        at += s + _DIG - 1
-        undotted = np.less_equal(ndig, before, out=w.b[3, :k])
-        np.copyto(at, s + _SIGN, where=undotted)
-        at += w.base[:k]
-        np.put(w.rows, at, ord("."), mode="clip")
-        np.multiply(neg, np.uint8(ord("-")), out=ent[:, _SIGN])
-        fix = np.take(affix, ei, axis=0, out=w.affix[:k], mode="clip")
-        ent[:, _PRE:_DIG] = fix[:, :5]
-        ent[:, _EXP:] = fix[:, 5:]
+        ent[:, _DIG:_EXP] = slots[:18].T
         bad = np.flatnonzero(slow)
         if bad.size:  # their "%.17g" texts, one after another, scattered into their rows
             texts = ["%.17g" % v for v in x[bad].tolist()]
@@ -255,7 +291,7 @@ def pieces(a, sep: str):
             at_text = np.repeat(bad * width + s - (end - size), size) + np.arange(end[-1])
             np.put(w.rows, at_text, np.frombuffer("".join(texts).encode("ascii"), np.uint8))
         w.rows[k:] = 0  # the last chunk may be short
-        text = w.raw.translate(None, b"\0").decode("ascii")
-        np.put(w.rows, at, 0, mode="clip")
-        ent[bad] = 0
-        yield text[s:] if lo == 0 else text
+        # a bytes copy keeps only the text: the bytearray that translate
+        # returns keeps its template-sized allocation
+        text = w.raw.translate(None, b"\0")
+        yield bytes(memoryview(text)[s:] if lo == 0 else text)

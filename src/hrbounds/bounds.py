@@ -298,10 +298,10 @@ def _pava(y) -> np.ndarray:
     return np.repeat(np.divide(sums, sizes), sizes)
 
 
-def _running_mean_drift(samples: np.ndarray) -> float:
-    """Max over k of the relative change between half- and full-sample means."""
+def _running_mean_drift(samples: np.ndarray, full: np.ndarray) -> float:
+    """Max over k of the relative change between half- and full-sample means;
+    ``full`` is ``samples.mean(axis=0)``."""
     half = samples[: samples.shape[0] // 2].mean(axis=0)
-    full = samples.mean(axis=0)
     scale = np.maximum(np.abs(full), np.abs(half))
     with np.errstate(invalid="ignore"):
         rel = np.where(scale > 0, np.abs(full - half) / np.where(scale > 0, scale, 1.0), 0.0)
@@ -326,7 +326,7 @@ def estimate_moment_profile(batch: TrajectoryBatch, phi: ShapeFunction) -> Momen
             values = phi(paths)  # (R, n)
             mean = values.mean(axis=0)
             se = values.std(axis=0, ddof=1) / math.sqrt(replications)
-        drift = max(drift, _running_mean_drift(values))
+        drift = max(drift, _running_mean_drift(values, mean))
         profile[name] = (_pava(mean), se)
     non_integrable = drift > _DRIFT_LIMIT
     if not (non_integrable or all(np.all(np.isfinite(profile[s][0])) for s in "uv")):
@@ -399,10 +399,56 @@ class BoundReport:
         }
 
 
+# Exact sums.  Every finite float64 is M 2^(e - 53) with |M| < 2^53 and
+# e + _BIAS in [1, _BUCKETS) (np.frexp's exponent e, subnormals included).
+_BIAS, _BUCKETS = 1074, 2099
+# Entries summed per bucket before the float bucket sums are folded: each
+# sum then stays below 2^26 2^27 = 2^53, so it is exact.
+_EXACT_LEN = 2 ** 26
+# Shorter vectors go to math.fsum: the buckets cost about 20 us whatever the
+# length, and the two take about the same time at this length.
+_FSUM_MIN_LEN = 1280
+
+
 def _fsum(a: np.ndarray) -> float:
-    """``math.fsum`` of a float64 array, read as Python floats a chunk at a time:
-    iterating the array would make a numpy scalar per entry, and one ``tolist``
-    would hold the whole vector as float objects at once."""
+    """``math.fsum`` of a 1-D float64 array, equal to it bit for bit.
+
+    The exact sum is taken in integers, as in Neal's superaccumulators: each
+    entry's 53-bit significand M (``np.frexp``) is split into a high part of
+    27 bits and a low part of 26, and ``np.bincount`` sums each part into one
+    bucket per exponent.  A bucket receives at most 8192 parts of a chunk,
+    and at most ``_EXACT_LEN`` parts in all before it is folded, so its float
+    sum stays below 2^53 and is exact (8192 2^27 < 2^53 for one chunk).  The
+    non-zero buckets are folded into one Python int N, the exact sum times
+    2^1127, and ``N / 2^1127`` is CPython's int true division, which rounds
+    correctly, subnormal results included.
+
+    The entries go to ``math.fsum`` itself, read as Python floats a chunk at
+    a time, where its result or exception could differ or it is faster:
+    below ``_FSUM_MIN_LEN`` entries; with a non-finite entry, or a magnitude
+    at which ``fsum`` may raise "intermediate overflow" (n max|x| >= 2^1022);
+    and for an exact sum of 0, whose sign ``fsum`` decides.
+    """
+    if a.size and a.size >= _FSUM_MIN_LEN:
+        big = 2.0 ** 1022 / a.size
+        if a.min() > -big and a.max() < big:
+            n = 0
+            for g in range(0, a.size, _EXACT_LEN):
+                high = low = 0.0
+                for i in range(g, min(g + _EXACT_LEN, a.size), CHUNK):
+                    m, e = np.frexp(a[i:i + CHUNK])
+                    e += _BIAS
+                    m *= 2.0 ** 27
+                    h = np.trunc(m)
+                    m -= h
+                    m *= 2.0 ** 26
+                    high = high + np.bincount(e, h, _BUCKETS)
+                    low = low + np.bincount(e, m, _BUCKETS)
+                for sums, shift in ((high, 26), (low, 0)):
+                    for j in np.flatnonzero(sums != 0).tolist():
+                        n += int(sums[j]) << (j + shift)
+            if n:
+                return n / (1 << 1127)
     return math.fsum(itertools.chain.from_iterable(
         a[i:i + CHUNK].tolist() for i in range(0, a.size, CHUNK)))
 

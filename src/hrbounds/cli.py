@@ -94,17 +94,18 @@ def _json_str(s: str) -> str:
 
 
 def render_json(obj) -> str:
-    out: list[str] = []
+    out: list[str | bytes] = []
     _render(obj, 0, out)
-    return "".join(out)
+    return "".join(p if isinstance(p, str) else p.decode("ascii") for p in out)
 
 
-def _render(obj, depth: int, out: list[str]) -> None:
+def _render(obj, depth: int, out: list[str | bytes]) -> None:
     """Append the JSON text of ``obj``, indented at ``depth``, to ``out``.
 
     Brackets, separators and key prefixes are pieces of their own, and a long
     float vector adds the kernel's per-chunk pieces, so no level copies the
-    text of the levels below it.
+    text of the levels below it.  Every piece is ASCII: the kernel's are
+    ``bytes``, all others ``str``.
     """
     if obj is None:
         out.append("null")
@@ -519,13 +520,16 @@ def _write_json(path: Path, payload: dict) -> None:
     """Write ``render_json(payload)`` and a newline to ``path``, piece by piece.
 
     The whole payload is rendered before the file is opened, so a value that
-    cannot be rendered (a NaN, say) leaves no file behind.
+    cannot be rendered (a NaN, say) leaves no file behind.  The file is opened
+    in binary mode: the kernel's bytes pieces are written as they are, only
+    the short str pieces are encoded, and "\n" is written as "\n" on every
+    platform.
     """
-    pieces: list[str] = []
+    pieces: list[str | bytes] = []
     _render(payload, 0, pieces)
     pieces.append("\n")
-    with path.open("w") as fh:
-        fh.writelines(pieces)
+    with path.open("wb") as fh:
+        fh.writelines(p.encode("ascii") if isinstance(p, str) else p for p in pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Bound calculators against worked values, algebraic identities, and oracles."""
 
 import math
+import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hrbounds import bounds
 from hrbounds.bounds import (
     MomentProfile,
+    _fsum,
     _pava,
     SLLNSeriesSpec,
     analytic_moment_profile,
@@ -19,7 +23,7 @@ from hrbounds.bounds import (
     estimate_moment_profile,
     slln_series_check,
 )
-from hrbounds.distributions import RandomSequenceSpec
+from hrbounds.distributions import CHUNK, RandomSequenceSpec
 from hrbounds.errors import (
     AnalyticProfileUnavailable,
     DataError,
@@ -447,3 +451,108 @@ class TestSeriesCheck:
         s = SLLNSeriesSpec(alpha=(1.0,) * 10, r=1.0, weights=w)
         with pytest.raises(ValidationError):
             slln_series_check(s, horizon=50)
+
+
+# ---------------------------------------------------------------------------
+# exact sums: _fsum is math.fsum, bit for bit, with the same exceptions
+
+
+def _assert_fsum_matches(a):
+    """_fsum(a) has math.fsum's bits, or raises an exception of the same type."""
+    a = np.asarray(a, dtype=np.float64)
+    try:
+        want = math.fsum(a.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises((OverflowError, ValueError)) as got:
+            _fsum(a)
+        assert type(got.value) is type(exc)
+    else:
+        assert struct.pack("<d", _fsum(a)) == struct.pack("<d", want)
+
+
+# None: the default size threshold; 0: the buckets at every length
+MIN_LENS = [None, 0]
+
+
+def _min_len(min_len):
+    return mock.patch.object(bounds, "_FSUM_MIN_LEN",
+                             bounds._FSUM_MIN_LEN if min_len is None else min_len)
+
+
+@st.composite
+def _float_vectors(draw):
+    """Finite float64 vectors of 0 to 3 CHUNK entries, subnormals included:
+    random significands over a drawn binade range, then up to 20 entries
+    anywhere in the float range."""
+    n = draw(st.integers(0, 3 * CHUNK))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = sorted(draw(st.tuples(st.integers(-1074, 1000), st.integers(-1074, 1000))))
+    a = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    if n:
+        finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+        for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=20)):
+            a[i] = v
+    return a
+
+
+@pytest.mark.parametrize("min_len", MIN_LENS)
+@given(a=_float_vectors())
+@settings(max_examples=60, deadline=None)
+def test_fsum_equals_math_fsum(min_len, a):
+    with _min_len(min_len):
+        _assert_fsum_matches(a)
+
+
+def _pinned_sums():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=1500) * 10.0 ** rng.uniform(-200, 200, 1500)
+    pad = [0.0] * 1500
+    near_max = 2.0 ** 1023
+    return {
+        "all-negative-zeros": [-0.0] * 2000,
+        "short-negative-zeros": [-0.0] * 3,
+        "mixed-signed-zeros": [0.0, -0.0] * 1000,
+        "exact-cancellation": rng.permutation(np.concatenate([x, -x])),
+        "subnormal-result": [2.0 ** -1000, -(2.0 ** -1000)] * 700 + [5e-324] * 3 + [-1e-320],
+        "subnormal-entries": rng.integers(-2 ** 40, 2 ** 40, 3000) * 5e-324,
+        "tie-to-even-down": [1.0, 2.0 ** -53] + pad,
+        "tie-to-even-up": [1.0 + 2.0 ** -52, 2.0 ** -53] + pad,
+        "tie-broken-by-a-subnormal": [1.0, 2.0 ** -53, 5e-324] + pad,
+        "tie-at-the-top": [2.0 ** 1000, 2.0 ** 947] + pad,
+        "overflow-short": [near_max, near_max],
+        "overflow-long": [near_max] + [1.7976931348623157e308] + pad,
+        "near-max-cancels": [near_max, -near_max, 1.0] * 700,
+        "intermediate-overflow": [near_max, near_max, -near_max] + pad,
+        "inf": [math.inf] + pad,
+        "-inf": pad + [-math.inf],
+        "nan": pad + [math.nan] + pad,
+        "inf-minus-inf": [math.inf] + pad + [-math.inf],
+        "below-threshold": rng.lognormal(-10.0, 3.0, bounds._FSUM_MIN_LEN - 1),
+        "at-threshold": rng.lognormal(-10.0, 3.0, bounds._FSUM_MIN_LEN),
+        "one-chunk": rng.normal(size=CHUNK),
+        "chunk-and-one": rng.normal(size=CHUNK + 1),
+    }
+
+
+PINNED_SUMS = _pinned_sums()
+
+
+@pytest.mark.parametrize("min_len", MIN_LENS)
+@pytest.mark.parametrize("name", sorted(PINNED_SUMS))
+def test_fsum_equals_math_fsum_on_pinned_vectors(min_len, name):
+    with _min_len(min_len):
+        _assert_fsum_matches(PINNED_SUMS[name])
+
+
+def test_finite_sums_from_the_size_threshold_on_take_the_buckets(monkeypatch):
+    a = np.random.default_rng(3).lognormal(-10.0, 1.0, 100_000)
+    short = a[:bounds._FSUM_MIN_LEN]
+    want = math.fsum(a.tolist()), math.fsum(short.tolist())
+
+    def refused(_):
+        raise AssertionError("math.fsum called")
+
+    monkeypatch.setattr(math, "fsum", refused)
+    assert (_fsum(a), _fsum(short)) == want
+    with pytest.raises(AssertionError, match="math.fsum called"):
+        _fsum(short[:-1])

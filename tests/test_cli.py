@@ -4,6 +4,7 @@ import copy
 import functools
 import json
 import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -273,6 +274,53 @@ def test_long_flat_float_lists_render_like_each_element(n, data):
     assert render_json(xs) == _per_element(xs)
     assert render_json(tuple(xs)) == _per_element(xs)
     assert render_json({"terms": xs}) == '{\n  "terms": ' + _per_element(xs, 1) + "\n}"
+
+
+def _with_digits(e: int, zeros: int, rng: random.Random):
+    """A positive float whose "%.17g" digits are 17 - zeros significant ones
+    and then ``zeros`` zeros, at decimal exponent e; None if 300 random
+    candidates miss."""
+    n = 17 - zeros
+    for _ in range(300):
+        digits = str(rng.randrange(10 ** (n - 1), 10 ** n))
+        if digits[-1] == "0":
+            continue
+        x = float(f"{digits}e{e - n + 1}")
+        if "%.16e" % x == f"{digits[0]}.{digits[1:]}{'0' * zeros}e{e:+03d}":
+            return x
+    return None
+
+
+def _dot_slot_corpus():
+    """Every "." position of the narrow template: the exponents either side of
+    each layout switch, every count of stripped trailing zeros, both signs,
+    signed zeros, and entries that go through the one-at-a-time path."""
+    rng = random.Random(21)
+    cells = {(e, zeros): _with_digits(e, zeros, rng)
+             for e in (-5, -4, -1, 0, 1, 15, 16, 17) for zeros in range(17)}
+    # no float prints as one digit at 1e-5: each d * 10^-5 has 17 digits
+    assert [c for c, x in cells.items() if x is None] == [(-5, 16)]
+    xs = [x for x in cells.values() if x is not None]
+    xs += [0.0, 5e-324, 1e-300, 1e300, 2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75]
+    xs += [-v for v in xs]
+    return xs * 3  # above _FLOATFMT_MIN_LEN, so render_json takes the kernel
+
+
+@pytest.mark.parametrize("sep", [", ", ",\n      "])
+def test_dot_slot_at_every_layout_boundary_joins_like_each_element(sep):
+    xs = _dot_slot_corpus()
+    assert len(xs) >= cli._FLOATFMT_MIN_LEN
+    assert join(np.array(xs), sep) == sep.join("%.17g" % v for v in xs)
+
+
+def test_dot_slot_at_every_layout_boundary_renders_and_writes_like_each_element(tmp_path):
+    xs = _dot_slot_corpus()
+    want = '{\n  "terms": ' + _per_element(xs, 1) + "\n}"
+    for terms in (xs, np.array(xs)):
+        assert render_json({"terms": terms}) == want
+        path = tmp_path / "report.json"
+        cli._write_json(path, {"terms": terms})
+        assert path.read_bytes() == (want + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
