@@ -9,6 +9,7 @@ The package has three layers:
 * glue: experiment configs and the `hrbounds` command line (`cli`).
 """
 
+from ._digest import event_a_n, event_max_ratio
 from .bounds import (
     BOUND_KINDS,
     BoundReport,
@@ -61,6 +62,8 @@ from .simulation import (
 __version__ = "0.7.0"
 
 __all__ = [
+    "event_a_n",
+    "event_max_ratio",
     "BOUND_KINDS",
     "BoundReport",
     "MomentProfile",

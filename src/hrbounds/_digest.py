@@ -1,11 +1,12 @@
 """Canonical JSON rendering and short digests for report comparability.
 
-A bound report and the estimate it is checked against must describe the
-same event; both sides hash the same canonical payload so `verify_bound`
-can refuse apples-to-oranges comparisons.  Weights enter as the SHA-256 of
-their materialized values' little-endian float64 bytes, which makes a
-length-64 weight object sliced to an 8-step event hash identically to a
-native length-8 one, and keeps the event a few hundred bytes at any n.
+A bound report carries its event as the dict `event_a_n` or
+`event_max_ratio` builds; the estimate it is checked against hashes the
+same canonical payload, so `verify_bound` can refuse apples-to-oranges
+comparisons.  Weights enter as the SHA-256 of their materialized values'
+little-endian float64 bytes, which makes a length-64 weight object sliced
+to an 8-step event hash identically to a native length-8 one, and keeps
+the event a few hundred bytes at any n.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from .errors import ParameterDomainError, ValidationError
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, weights_sha256
 
 
@@ -34,10 +36,12 @@ def event_a_n(law: dict | None, phi: ShapeFunction, chi: ScaleFunction,
               w: WeightSequence, n: int, process: str = "S") -> dict:
     """The joint-envelope event: phi(T_k) <= chi(b_k) for every k <= n.
 
-    ``process`` names the sequence the envelope applies to ("S" for the
-    partial sums themselves, "u"/"v" for the one-sided parts), so envelopes
-    over different processes never collide in digest space.
+    ``process`` names the walk T: "S", the partial sums, or "u", the partial
+    sums of the positive parts.  This and `event_max_ratio` are the only
+    places an event is built and checked; `simulation._region` reads it.
     """
+    if process not in ("S", "u"):
+        raise ValidationError(f"unknown process {process!r}")
     return {
         "event": "A_n",
         "process": process,
@@ -51,13 +55,24 @@ def event_a_n(law: dict | None, phi: ShapeFunction, chi: ScaleFunction,
 
 def event_max_ratio(law: dict | None, w: WeightSequence, m: int, n: int,
                     epsilon: float, sided: str) -> dict:
-    """The weighted-maximum event: max over k in [m, n] of S_k/b_k vs epsilon."""
+    """The weighted-maximum event on S: max over k in [m, n] of S_k/b_k exceeds epsilon.
+
+    ``sided`` is "abs" (|S_k|/b_k >= epsilon, the form the upper bounds
+    constrain) or "upper" (S_k/b_k > epsilon, the classical strict form).
+    """
+    if epsilon is None or epsilon <= 0:
+        raise ParameterDomainError("epsilon", "must be > 0 for the max event")
+    m, n = int(m), int(n)
+    if not 1 <= m <= n:
+        raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if sided not in ("abs", "upper"):
+        raise ValidationError(f"unknown sidedness {sided!r}")
     return {
         "event": "max_ratio",
         "law": law,
         "weights": _weights_form(w, n),
-        "m": int(m),
-        "n": int(n),
+        "m": m,
+        "n": n,
         "epsilon": float(epsilon),
         "sided": sided,
     }

@@ -543,16 +543,14 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
     declares which event the report is checked against (the two-sided form
     is what the verifier exercises, by symmetry of the centered laws used).
     """
+    event = event_max_ratio(source, w, m, n, epsilon, sided)  # checks 1 <= m <= n
     m, n = int(m), int(n)
-    if m < 1 or m > n:
-        raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
     e = _upper_input(ex2, "ex2", n, epsilon)
     b = w.materialize(n)
     terms = np.empty(n, dtype=np.float64)
     terms[:m] = e[:m] / (epsilon ** 2 * b[m - 1] ** 2)
     terms[m:] = e[m:] / (epsilon ** 2 * b[m:] ** 2)
-    return _report("hajek_renyi_upper", terms, event_max_ratio(source, w, m, n, epsilon, sided),
-                   "second_moments_finite")
+    return _report("hajek_renyi_upper", terms, event, "second_moments_finite")
 
 
 def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,

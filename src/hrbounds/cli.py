@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._digest import digest_of
+from ._digest import digest_of, event_a_n, event_max_ratio
 from .bounds import (
     MomentProfile,
     SLLNSeriesSpec,
@@ -49,6 +49,7 @@ from .simulation import (
     _ENUM_MAX_N,
     check_checkpoints,
     check_demi_size,
+    check_enumerable,
     check_event_reps,
     demi_check,
     enumerate_exact,
@@ -597,21 +598,6 @@ def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
     raise ValidationError(f"unknown bound kind {kind!r}")
 
 
-def _event_args(report, cfg: ExperimentConfig) -> dict:
-    """The event ``report`` constrains, as keyword arguments of `enumerate_exact`."""
-    event = report.event
-    if event["event"] == "A_n":
-        return {"event": "A_n", "phi": cfg.shape, "chi": cfg.scale, "process": event["process"]}
-    return {"event": "max", "epsilon": event["epsilon"], "m": event["m"],
-            "sided": event["sided"]}
-
-
-def _estimate_for(report, cfg: ExperimentConfig, draws: _Draws):
-    event = _event_args(report, cfg)
-    estimate = estimate_event_An if event.pop("event") == "A_n" else estimate_max_event
-    return estimate(draws.batch, w=cfg.weights, level=cfg.level, **event)
-
-
 def _enumerable(cfg: ExperimentConfig) -> bool:
     family = cfg.sequence.family
     return family == "point_mass" or (
@@ -647,12 +633,12 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
         report = _compute_bound(kind, cfg, draws)
         if args.corrupt_bound:
             report = _corrupt(report)
-        estimate = _estimate_for(report, cfg, draws)
+        estimate = (estimate_event_An if report.event["event"] == "A_n" else estimate_max_event)(
+            draws.batch, report.event, cfg.weights, cfg.level)
         verdicts = {"monte_carlo": verify_bound(estimate, report)}
         exact_payload = None
         if _enumerable(cfg):
-            exact = enumerate_exact(cfg.sequence, w=cfg.weights, n=cfg.n,
-                                    **_event_args(report, cfg))
+            exact = enumerate_exact(cfg.sequence, report.event, cfg.weights)
             verdicts["exact"] = verify_bound(exact, report)
             exact_payload = {"numerator": exact.numerator,
                              "denominator": exact.denominator,
@@ -699,12 +685,12 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
         checkpoints = tuple(sorted({max(2, cfg.n // 100), max(2, cfg.n // 10), cfg.n}))
     check_checkpoints(checkpoints, cfg.n)
     series = slln_series_check(series_spec, horizon=cfg.n)
-    _write_json(out / "slln_series.json",
-                _envelope(cfg, {"series": series.to_dict()}))
-
     traj = slln_trajectory(cfg.sequence, cfg.shape, cfg.scale,
                            cfg.weights, cfg.n, cfg.replications, checkpoints,
                            cfg.master_seed, args.threads)
+    # both reports are written only once the trajectories are in: a refused run writes nothing
+    _write_json(out / "slln_series.json",
+                _envelope(cfg, {"series": series.to_dict()}))
     csv_path = out / "slln_checkpoints.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -726,8 +712,12 @@ def cmd_enumerate(cfg: ExperimentConfig, out: Path, args) -> int:
     if cfg.event == "max" and cfg.process != "S":
         # the max event's bounds (classic, amini) and its estimate read S only
         raise ValidationError(f"the max event is defined on S, not on process {cfg.process!r}")
-    frac = enumerate_exact(cfg.sequence, cfg.shape, cfg.scale, cfg.weights, cfg.n,
-                           cfg.event, cfg.epsilon, cfg.m, cfg.sided, process=cfg.process)
+    check_enumerable(cfg.sequence)  # before the event hashes n weights
+    law = cfg.sequence.law()
+    event = (event_a_n(law, cfg.shape, cfg.scale, cfg.weights, cfg.n, cfg.process)
+             if cfg.event == "A_n" else
+             event_max_ratio(law, cfg.weights, cfg.m, cfg.n, cfg.epsilon, cfg.sided))
+    frac = enumerate_exact(cfg.sequence, event, cfg.weights)
     path = out / "enumerate.json"
     _write_json(path, _envelope(cfg, {
         "event": cfg.event,

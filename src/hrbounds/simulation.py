@@ -8,10 +8,11 @@ a verdict function comparing the two, an empirical check of the defining
 inequality E[(T_{j+1} - T_j) g(T_1..T_j)] >= 0, and trailing-window ratio
 summaries for almost-sure convergence demonstrations.
 
-Each event is defined once, as a region (`_region`): which values T_k may
+An event is the dict a bound report carries (`_digest.event_a_n` or
+`event_max_ratio`), and `_region` is its one reader: which values T_k may
 take at step k.  The Monte Carlo estimators test every step of a sampled
 path against it and the dynamic program every lattice state, so both
-compute the probability of the same event.
+compute the probability of the report's own event.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._digest import digest_of, event_a_n, event_max_ratio
+from ._digest import digest_of
 from .bounds import BoundReport
 from .distributions import CHUNK, RandomSequenceSpec
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .sequences import TrajectoryBatch, for_each_block, prefix_sum_chunks
-from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence
+from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, weights_sha256
 
 # Largest sign-sequence horizon of the exact oracle.  There the dynamic program
 # takes at most about 1.4 s (one core of a 2-vCPU x86 host).
@@ -133,51 +134,37 @@ def binomial_estimate(successes: int, replications: int, level: float = 0.99,
 # event probability estimation
 
 
-def _exceeds(ratio: np.ndarray, epsilon: float, sided: str) -> np.ndarray:
-    # The two-sided event uses >= (the exceedance form the upper bounds
-    # constrain); the one-sided event keeps the strict > of the classical
-    # statement.  For the continuous laws the difference is null.
-    if sided == "abs":
-        return ratio >= epsilon
-    if sided == "upper":
-        return ratio > epsilon
-    raise ValidationError(f"unknown sidedness {sided!r}")
+def _region(event: dict, w: WeightSequence):
+    """``event``'s region as ``allowed(k, t)``: may the walk T have T_k = t?
 
-
-def _region(event: str, phi: ShapeFunction | None, chi: ScaleFunction | None,
-            w: WeightSequence | None, n: int, epsilon: float | None = None, m: int = 1,
-            sided: str = "abs", process: str = "S"):
-    """An event's region as ``allowed(k, t)``: may the walk T (S, or u) have T_k = t?
-
+    ``event`` is a dict from `event_a_n` (phi(T_k) <= chi(b_k) for every k,
+    T = S or u) or `event_max_ratio` (max over m <= k <= n of |S_k|/b_k, or
+    S_k/b_k when sided is "upper", exceeds epsilon): a path is in A_n when
+    every step is allowed, in the max event when one is not.  ``w`` gives
+    b_1..b_n; weights whose hash is not the event's are refused.
     ``k`` is a scalar or an integer array that broadcasts against ``t``: the
     estimators pass the steps along a path's axis, the dynamic program a
     column of steps against a row of lattice values.
-    ``event`` is "A_n" (phi(T_k) <= chi(b_k) for every k) or "max" (max over
-    m <= k <= n of |T_k|/b_k, or T_k/b_k when ``sided`` is "upper", exceeds
-    epsilon): a path is in A_n when every step is allowed, in max when one is not.
     """
-    if process not in ("S", "u"):
-        raise ValidationError(f"unknown process {process!r}")
-    if w is None:
-        raise ValidationError("a weight sequence is required")
+    n = event["n"]
+    if weights_sha256(w, n) != event["weights"]:
+        raise DigestMismatchError("the weight sequence is not the event's")
     b = w.materialize(n)
-    if event == "A_n":
-        if phi is None or chi is None:
-            raise ValidationError("the A_n event needs phi and chi")
-        envelope = chi(b)
+    if event["event"] == "A_n":
+        phi, envelope = ShapeFunction(**event["phi"]), ScaleFunction(**event["chi"])(b)
         return lambda k, t: phi(t) <= envelope[k - 1]
-    if event != "max":
-        raise ValidationError(f"unknown event {event!r}")
-    if epsilon is None or epsilon <= 0:
-        raise ParameterDomainError("epsilon", "must be > 0 for the max event")
-    m = int(m)
-    if m < 1 or m > n:
-        raise IndexError(f"need 1 <= m <= n, got m={m}, n={n}")
+    epsilon, m, sided = event["epsilon"], event["m"], event["sided"]
 
     def allowed(k, t: np.ndarray) -> np.ndarray:
         ratio = (np.abs(t) if sided == "abs" else t) / b[k - 1]
-        return (k < m) | ~_exceeds(ratio, epsilon, sided)
+        return (k < m) | ~(ratio >= epsilon if sided == "abs" else ratio > epsilon)
     return allowed
+
+
+def _same_law(spec: RandomSequenceSpec, n: int, event: dict) -> None:
+    """Refuse paths of another law or horizon than ``event``'s."""
+    if spec.law() != event["law"] or n != event["n"]:
+        raise DigestMismatchError(f"paths of {spec.law()} at n={n} are not the event's")
 
 
 def _inside(allowed, paths: np.ndarray) -> int:
@@ -191,56 +178,62 @@ def check_event_reps(reps: int) -> None:
         raise ValidationError("event estimation needs >= 1000 replications")
 
 
-def estimate_event_An(batch: TrajectoryBatch, phi: ShapeFunction, chi: ScaleFunction,
-                      w: WeightSequence, level: float = 0.99,
-                      process: str = "S") -> MonteCarloEstimate:
-    """Estimate P(phi(T_k) <= chi(b_k) for all k <= n), T = S or u, over the rows of ``batch``."""
-    n, reps = batch.n, batch.replications
-    allowed = _region("A_n", phi, chi, w, n, process=process)
-    check_event_reps(reps)
-    return binomial_estimate(_inside(allowed, batch.s if process == "S" else batch.u), reps, level,
-                             event=event_a_n(batch.spec.law(), phi, chi, w, n, process=process))
+def _rows_inside(batch: TrajectoryBatch, event: dict, w: WeightSequence, kind: str) -> int:
+    """Rows of ``batch`` whose walk stays in the region of ``event``, an event of ``kind``."""
+    if event["event"] != kind:
+        raise ValidationError(f"expected an event of kind {kind!r}, got {event['event']!r}")
+    _same_law(batch.spec, batch.n, event)
+    allowed = _region(event, w)
+    check_event_reps(batch.replications)
+    return _inside(allowed, _process_matrix(batch, event.get("process", "S"), None))
 
 
-def estimate_max_event(batch: TrajectoryBatch, w: WeightSequence, epsilon: float,
-                       m: int = 1, sided: str = "abs",
+def estimate_event_An(batch: TrajectoryBatch, event: dict, w: WeightSequence,
+                      level: float = 0.99) -> MonteCarloEstimate:
+    """Estimate P(phi(T_k) <= chi(b_k) for all k <= n) over ``batch``."""
+    return binomial_estimate(_rows_inside(batch, event, w, "A_n"), batch.replications,
+                             level, event)
+
+
+def estimate_max_event(batch: TrajectoryBatch, event: dict, w: WeightSequence,
                        level: float = 0.99) -> MonteCarloEstimate:
-    """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon) over the rows of ``batch``."""
-    n, reps = batch.n, batch.replications
-    allowed = _region("max", None, None, w, n, epsilon, m, sided)
-    check_event_reps(reps)
-    return binomial_estimate(reps - _inside(allowed, batch.s), reps, level,
-                             event=event_max_ratio(batch.spec.law(), w, m, n, epsilon, sided))
+    """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon) over ``batch``."""
+    reps = batch.replications
+    return binomial_estimate(reps - _rows_inside(batch, event, w, "max_ratio"), reps,
+                             level, event)
 
 
-def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
-                    chi: ScaleFunction | None = None, w: WeightSequence | None = None,
-                    n: int | None = None, event: str = "A_n",
-                    epsilon: float | None = None, m: int = 1,
-                    sided: str = "abs", process: str = "S") -> Fraction:
-    """Exact event probability of a finite-support law, by counting sign paths.
+def check_enumerable(spec: RandomSequenceSpec) -> None:
+    """Refuse a law the exact oracle cannot count (`enumerate` checks before building its event)."""
+    if spec.family not in ("rademacher", "point_mass"):
+        raise ValidationError("exact enumeration needs a finite-support family")
+    if spec.family == "rademacher" and spec.n > _ENUM_MAX_N:
+        raise EnumerationSizeError(
+            f"horizon {spec.n} exceeds the exact-enumeration cap n <= {_ENUM_MAX_N}")
+
+
+def enumerate_exact(spec: RandomSequenceSpec, event: dict, w: WeightSequence) -> Fraction:
+    """Exact probability of ``event`` under a finite-support law, by counting sign paths.
 
     Both events depend on a path only through its lattice walk T_k: the
-    partial sums S_k (steps +1 and -1) or, with ``process="u"``, the count
+    partial sums S_k (steps +1 and -1) or, for an A_n event on u, the count
     u_k of +1 steps (steps 1 and 0).  A dynamic program over the states
     (k, T_k) keeps, for each value of T_k, the number of sign paths that
     reach it without leaving the event's region, as a Python integer; a
     horizon n costs O(n^2) integer additions, not 2^n paths (path counting
     for the simple random walk, Feller, Vol. I, ch. III).  The region is the
     estimators' `_region`, tested on float64 values, so ties fall the same
-    way; ``event`` and the arguments after it are `_region`'s.  It is tested
-    once per block of consecutive steps, at most ``CHUNK`` lattice cells (a
-    single step when n + 1 > ``CHUNK`` / 2), and the counts are stepped in
-    two preallocated vectors.  The result is an exact dyadic rational; a
-    point mass has one path.
+    way.  It is tested once per block of consecutive steps, at most
+    ``CHUNK`` lattice cells (a single step when n + 1 > ``CHUNK`` / 2), and
+    the counts are stepped in two preallocated vectors.  The result is an
+    exact dyadic rational; a point mass has one path.  ``spec`` must have
+    the event's law and horizon.
     """
-    n = int(spec.n if n is None else n)
-    if spec.family not in ("rademacher", "point_mass"):
-        raise ValidationError("exact enumeration needs a finite-support family")
-    if spec.family == "rademacher" and n > _ENUM_MAX_N:
-        raise EnumerationSizeError(
-            f"horizon {n} exceeds the exact-enumeration cap n <= {_ENUM_MAX_N}")
-    allowed = _region(event, phi, chi, w, n, epsilon, m, sided, process)
+    check_enumerable(spec)
+    n = int(spec.n)
+    _same_law(spec, n, event)
+    allowed = _region(event, w)
+    process = event.get("process", "S")
 
     if spec.family == "point_mass":
         c = spec.param_dict()["c"]
@@ -269,7 +262,7 @@ def enumerate_exact(spec: RandomSequenceSpec, phi: ShapeFunction | None = None,
                     nxt[:k_i + 1][row[:k_i + 1]] = 0
                 cur, nxt = nxt, cur
         stay = Fraction(int(cur.sum()), 2 ** n)
-    return stay if event == "A_n" else 1 - stay
+    return stay if event["event"] == "A_n" else 1 - stay
 
 
 # ---------------------------------------------------------------------------

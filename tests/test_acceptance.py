@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from hrbounds import event_a_n
 from hrbounds.bounds import (
     SLLNSeriesSpec,
     analytic_moment_profile,
@@ -70,7 +71,7 @@ def test_criterion_1_lower_bound_never_violated():
                         chi = (ScaleFunction.linear(eps) if nu == 1.0
                                else ScaleFunction.power(eps ** 2, 2.0))
                         report = bound_theorem1(phi, chi, w, mp)
-                        est = estimate_event_An(batch, phi, chi, w)
+                        est = estimate_event_An(batch, report.event, w)
                         tally[verify_bound(est, report)] += 1
     elapsed = time.time() - start
     cells = sum(tally.values())
@@ -91,7 +92,7 @@ def test_criterion_2_exact_oracle_equivalence():
             for eps in (0.5, 1.0, 2.0, 8.0):
                 chi = ScaleFunction.linear(eps)
                 report = bound_theorem1(PHI1, chi, w, mp)
-                exact = enumerate_exact(spec, PHI1, chi, w, n, "A_n")
+                exact = enumerate_exact(spec, report.event, w)
                 worst_gap = max(worst_gap, report.value - float(exact))
     dominated = worst_gap <= 1e-12
 
@@ -99,11 +100,12 @@ def test_criterion_2_exact_oracle_equivalence():
     spec = RandomSequenceSpec("rademacher", 8)
     w = WeightSequence.custom([2.0] * 8)
     chi = ScaleFunction.linear(0.9)
-    exact = float(enumerate_exact(spec, PHI1, chi, w, 8, "A_n"))
+    event = event_a_n(spec.law(), PHI1, chi, w, 8)
+    exact = float(enumerate_exact(spec, event, w))
     covered = sum(
         1 for seed in range(100)
         if (lambda e: e.ci_low <= exact <= e.ci_high)(
-            estimate_event_An(TrajectoryBatch.generate(spec, 2000, seed), PHI1, chi, w)))
+            estimate_event_An(TrajectoryBatch.generate(spec, 2000, seed), event, w)))
     ok = dominated and covered >= 97
     _criterion(2, ok, f"max(bound - exact) = {worst_gap:.2e}, "
                       f"CI covered exact p=1/16 in {covered}/100 seeds")
@@ -122,12 +124,12 @@ def test_criterion_3_quadratic_shape_recovery():
             w = WeightSequence.power(beta, n)
             for eps in (2.0, 5.0, 10.0):
                 report = bound_theorem1(PHI2, ScaleFunction.linear(eps), w, mp)
-                est = estimate_event_An(batch, PHI2, ScaleFunction.linear(eps), w)
+                est = estimate_event_An(batch, report.event, w)
                 tally[verify_bound(est, report)] += 1
 
                 amini = bound_amini(np.full(n, sigma), w, n, eps,
                                     source=spec.law())
-                amax = estimate_max_event(batch, w, eps, 1)
+                amax = estimate_max_event(batch, amini.event, w)
                 tally[verify_bound(amax, amini)] += 1
     ok = tally["violation"] == 0 and sum(tally.values()) == 36
     _criterion(3, ok, f"36 paired cells, no hypothesis errors, "

@@ -70,9 +70,11 @@ class TestTheorem1:
         assert rep.informative
 
     def test_worked_example_is_dominated_by_exact_probability(self):
-        exact = enumerate_exact(RADEMACHER2, PHI1, ScaleFunction.linear(10.0),
-                                WeightSequence.power(1.0, 2), 2, "A_n")
-        assert float(exact) == 1.0 >= 0.7
+        mp = analytic_moment_profile(RADEMACHER2, PHI1)
+        w = WeightSequence.power(1.0, 2)
+        rep = bound_theorem1(PHI1, ScaleFunction.linear(10.0), w, mp)
+        exact = enumerate_exact(RADEMACHER2, rep.event, w)
+        assert float(exact) == 1.0 >= rep.value
 
     def test_clamps_to_zero_and_reports_uninformative(self):
         mp = analytic_moment_profile(RADEMACHER2, PHI1)

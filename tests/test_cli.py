@@ -976,6 +976,20 @@ def test_slln_checkpoint_past_horizon_writes_nothing(tmp_path, monkeypatch, caps
     assert not (out / "slln_checkpoints.csv").exists()
 
 
+def test_slln_refused_trajectory_writes_nothing(tmp_path, monkeypatch, capsys):
+    # sigma 1e308 overflows the prefix sums, so the trajectories are refused
+    cfg = dict(BASE, sequence={"family": "gaussian", "n": 1000,
+                               "params": {"mu": 0.0, "sigma": 1e308}},
+               n=1000, replications=2, checkpoints=[10, 1000], series={"alpha": 1.0, "r": 2.0})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = run(["slln", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)], monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "DataError"
+    assert list(out.iterdir()) == []
+
+
 def test_slln_requires_series_block(tmp_path, monkeypatch, capsys):
     code = run(["slln", "--config", write_config(tmp_path, dict(BASE, n=16)),
                 "--out", str(tmp_path)], monkeypatch, tmp_path)

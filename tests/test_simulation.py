@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 
-from hrbounds import sequences
+from hrbounds import event_a_n, event_max_ratio, sequences
 from hrbounds.bounds import analytic_moment_profile, bound_theorem1
 from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid
 from hrbounds.errors import (
@@ -47,6 +47,19 @@ def rademacher(n):
 
 def gaussian(n, mu=0.0):
     return RandomSequenceSpec("gaussian", n, (("mu", mu), ("sigma", 1.0)))
+
+
+def event_of(spec, w, event="A_n", phi=PHI1, chi=None, epsilon=None, m=1, sided="abs",
+             process="S", n=None):
+    """The event on ``spec``'s law and horizon: A_n of (phi, chi) on ``process``, or the
+    max event.  ``n`` is ignored, so an enumeration case's dict can be passed as it is."""
+    if event == "A_n":
+        return event_a_n(spec.law(), phi, chi, w, spec.n, process)
+    return event_max_ratio(spec.law(), w, m, spec.n, epsilon, sided)
+
+
+def linear_event(spec, eps, w):
+    return event_of(spec, w, chi=ScaleFunction.linear(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +110,35 @@ def test_estimate_invariants_enforced():
 
 
 def test_event_an_point_mass_zero_is_certain():
-    batch = TrajectoryBatch.generate(RandomSequenceSpec("point_mass", 4, (("c", 0.0),)), 1000, 0)
-    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(1.0), WeightSequence.power(1.0, 4))
+    spec, w = RandomSequenceSpec("point_mass", 4, (("c", 0.0),)), WeightSequence.power(1.0, 4)
+    est = estimate_event_An(TrajectoryBatch.generate(spec, 1000, 0), linear_event(spec, 1.0, w), w)
     assert est.p_hat == 1.0
 
 
 def test_event_an_wide_envelope_is_certain():
-    batch = TrajectoryBatch.generate(rademacher(2), 1000, 0)
-    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(10.0), WeightSequence.power(1.0, 2))
+    spec, w = rademacher(2), WeightSequence.power(1.0, 2)
+    est = estimate_event_An(TrajectoryBatch.generate(spec, 1000, 0), linear_event(spec, 10.0, w), w)
     assert est.p_hat == 1.0
 
 
 def test_event_an_tight_envelope_half():
-    batch = TrajectoryBatch.generate(rademacher(2), 4000, 0)
-    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(1.0),
-                            WeightSequence.custom([1.0, 1.0]))
+    spec, w = rademacher(2), WeightSequence.custom([1.0, 1.0])
+    est = estimate_event_An(TrajectoryBatch.generate(spec, 4000, 0), linear_event(spec, 1.0, w), w)
     assert est.ci_low <= 0.5 <= est.ci_high
+
+
+def max_estimate(batch, w, epsilon, m=1, sided="abs"):
+    return estimate_max_event(batch, event_of(batch.spec, w, "max", epsilon=epsilon, m=m,
+                                              sided=sided), w)
 
 
 def test_max_event_examples():
     zero = TrajectoryBatch.generate(RandomSequenceSpec("point_mass", 3, (("c", 0.0),)), 1000, 0)
-    assert estimate_max_event(zero, WeightSequence.power(1.0, 3), 1.0, 1).p_hat == 0.0
+    assert max_estimate(zero, WeightSequence.power(1.0, 3), 1.0).p_hat == 0.0
     signs = TrajectoryBatch.generate(rademacher(2), 1000, 1)
-    assert estimate_max_event(signs, WeightSequence.custom([1.0, 2.0]), 0.9, 1).p_hat == 1.0
-    half = estimate_max_event(TrajectoryBatch.generate(rademacher(2), 4000, 2),
-                              WeightSequence.custom([2.0, 2.0]), 0.9, 1)
+    assert max_estimate(signs, WeightSequence.custom([1.0, 2.0]), 0.9).p_hat == 1.0
+    half = max_estimate(TrajectoryBatch.generate(rademacher(2), 4000, 2),
+                        WeightSequence.custom([2.0, 2.0]), 0.9)
     assert half.ci_low <= 0.5 <= half.ci_high
 
 
@@ -130,8 +147,8 @@ def test_sidedness_at_the_boundary():
     # inclusive reading fires and the strict one does not
     batch = TrajectoryBatch.generate(RandomSequenceSpec("point_mass", 3, (("c", 1.0),)), 1000, 0)
     w = WeightSequence.power(1.0, 3)
-    assert estimate_max_event(batch, w, 1.0, 1, sided="abs").p_hat == 1.0
-    assert estimate_max_event(batch, w, 1.0, 1, sided="upper").p_hat == 0.0
+    assert max_estimate(batch, w, 1.0, sided="abs").p_hat == 1.0
+    assert max_estimate(batch, w, 1.0, sided="upper").p_hat == 0.0
 
 
 @st.composite
@@ -167,7 +184,7 @@ def test_estimators_count_the_rows_a_loop_counts(case):
         for row in paths:
             values = phi(row)
             inside += all(values[k] <= envelope[k] for k in range(n))
-        est = estimate_event_An(batch, phi, chi, w, process=process)
+        est = estimate_event_An(batch, event_of(spec, w, phi=phi, chi=chi, process=process), w)
         assert est.p_hat == inside / reps
         assert est.event["process"] == process
     for sided, m in zip(("abs", "upper"), case["ms"]):
@@ -175,49 +192,94 @@ def test_estimators_count_the_rows_a_loop_counts(case):
         for row in batch.s:
             ratios = [(abs(row[k]) if sided == "abs" else row[k]) / b[k] for k in range(m - 1, n)]
             hits += any(r >= eps if sided == "abs" else r > eps for r in ratios)
-        est = estimate_max_event(batch, w, eps, m, sided=sided)
+        est = max_estimate(batch, w, eps, m, sided)
         assert est.p_hat == hits / reps
 
 
 def test_estimator_preconditions():
     too_few = TrajectoryBatch.generate(rademacher(2), 999, 0)
+    w = WeightSequence.power(1.0, 2)
     with pytest.raises(ValidationError, match=">= 1000 replications"):
-        estimate_event_An(too_few, PHI1, ScaleFunction.linear(1.0), WeightSequence.power(1.0, 2))
+        estimate_event_An(too_few, linear_event(rademacher(2), 1.0, w), w)
     with pytest.raises(ValidationError, match=">= 1000 replications"):
-        estimate_max_event(too_few, WeightSequence.power(1.0, 2), 1.0)
+        max_estimate(too_few, w, 1.0)
+    # the constructor refuses m past the horizon before any estimator sees it
     with pytest.raises(IndexError):
-        estimate_max_event(TrajectoryBatch.generate(rademacher(4), 1000, 0),
-                           WeightSequence.power(1.0, 4), 1.0, m=5)
+        event_of(rademacher(4), WeightSequence.power(1.0, 4), "max", epsilon=1.0, m=5)
+
+
+def test_event_constructors_check_their_arguments():
+    law, w = rademacher(4).law(), WeightSequence.power(1.0, 4)
+    with pytest.raises(ValidationError, match="unknown process 'v'"):
+        event_a_n(law, PHI1, ScaleFunction.linear(1.0), w, 4, "v")
+    for m in (0, 5):
+        with pytest.raises(IndexError):
+            event_max_ratio(law, w, m, 4, 1.0, "abs")
+    for epsilon in (None, 0.0, -1.0):
+        with pytest.raises(ParameterDomainError):
+            event_max_ratio(law, w, 1, 4, epsilon, "abs")
+    with pytest.raises(ValidationError, match="unknown sidedness"):
+        event_max_ratio(law, w, 1, 4, 1.0, "lower")
+
+
+@pytest.mark.parametrize("other", ["law", "n", "weights"])
+def test_paths_of_another_event_are_refused(other):
+    """Each estimator and the exact DP refuse a batch or spec, or weights, not the event's."""
+    spec, w = rademacher(4), WeightSequence.power(1.0, 4)
+    events = {estimate_event_An: linear_event(spec, 2.0, w),
+              estimate_max_event: event_of(spec, w, "max", epsilon=1.0)}
+    if other == "law":
+        spec = RandomSequenceSpec.point_mass(4, c=1.0)  # enumerable too
+    elif other == "n":
+        spec = rademacher(5)
+    else:
+        w = WeightSequence.power(0.5, 4)
+    batch = TrajectoryBatch.generate(spec, 1000, 0)
+    for estimate, event in events.items():
+        with pytest.raises(DigestMismatchError):
+            estimate(batch, event, w)
+        with pytest.raises(DigestMismatchError):
+            enumerate_exact(spec, event, w)
+
+
+def test_estimators_refuse_the_other_kind_of_event():
+    spec, w = rademacher(2), WeightSequence.power(1.0, 2)
+    batch = TrajectoryBatch.generate(spec, 1000, 0)
+    with pytest.raises(ValidationError, match="kind .max_ratio., got .A_n."):
+        estimate_max_event(batch, linear_event(spec, 1.0, w), w)
+    with pytest.raises(ValidationError, match="kind .A_n., got .max_ratio."):
+        estimate_event_An(batch, event_of(spec, w, "max", epsilon=1.0), w)
 
 
 # ---------------------------------------------------------------------------
 # exact enumeration
 
 
-def test_enumeration_pinned_probabilities():
-    assert enumerate_exact(rademacher(2), PHI1, ScaleFunction.linear(10.0),
-                           WeightSequence.power(1.0, 2), 2, "A_n") == 1
+def exact(spec, w, **event):
+    """``enumerate_exact`` of the event `event_of` builds on ``spec``."""
+    return enumerate_exact(spec, event_of(spec, w, **event), w)
 
-    half = enumerate_exact(rademacher(2), w=WeightSequence.custom([2.0, 2.0]),
-                           n=2, event="max", epsilon=0.9)
+
+def test_enumeration_pinned_probabilities():
+    assert exact(rademacher(2), WeightSequence.power(1.0, 2), chi=ScaleFunction.linear(10.0)) == 1
+
+    half = exact(rademacher(2), WeightSequence.custom([2.0, 2.0]), event="max", epsilon=0.9)
     assert half == Fraction(1, 2)
 
-    quarter = enumerate_exact(rademacher(3), w=WeightSequence.custom([1.0] * 3),
-                              n=3, event="max", epsilon=3.0)
+    quarter = exact(rademacher(3), WeightSequence.custom([1.0] * 3), event="max", epsilon=3.0)
     assert quarter == Fraction(1, 4)
 
 
 def test_enumeration_complementary_events():
     spec, w = rademacher(8), WeightSequence.custom([2.0] * 8)
-    inside = enumerate_exact(spec, PHI1, ScaleFunction.linear(0.9), w, 8, "A_n")
-    outside = enumerate_exact(spec, w=w, n=8, event="max", epsilon=0.9)
+    inside = exact(spec, w, chi=ScaleFunction.linear(0.9))
+    outside = exact(spec, w, event="max", epsilon=0.9)
     assert inside + outside == 1
     assert inside == Fraction(1, 16)
 
 
 def test_enumeration_denominator_is_power_of_two():
-    p = enumerate_exact(rademacher(9), PHI1, ScaleFunction.linear(1.0),
-                        WeightSequence.power(1.0, 9), 9, "A_n")
+    p = exact(rademacher(9), WeightSequence.power(1.0, 9), chi=ScaleFunction.linear(1.0))
     assert isinstance(p, Fraction)
     d = p.denominator
     assert d & (d - 1) == 0
@@ -226,14 +288,11 @@ def test_enumeration_denominator_is_power_of_two():
 def test_enumeration_guards():
     over = _ENUM_MAX_N + 1
     with pytest.raises(EnumerationSizeError):
-        enumerate_exact(rademacher(over), PHI1, ScaleFunction.linear(1.0),
-                        WeightSequence.power(1.0, over), over, "A_n")
+        exact(rademacher(over), WeightSequence.power(1.0, over), chi=ScaleFunction.linear(1.0))
     with pytest.raises(ValidationError):
-        enumerate_exact(gaussian(4), PHI1, ScaleFunction.linear(1.0),
-                        WeightSequence.power(1.0, 4), 4, "A_n")
-    with pytest.raises(ParameterDomainError):
-        enumerate_exact(rademacher(4), w=WeightSequence.power(1.0, 4), n=4,
-                        event="max")  # epsilon missing
+        exact(gaussian(4), WeightSequence.power(1.0, 4), chi=ScaleFunction.linear(1.0))
+    with pytest.raises(ParameterDomainError):  # the constructor refuses a missing epsilon
+        event_of(rademacher(4), WeightSequence.power(1.0, 4), "max")
 
 
 def bitmask_enumerate(n, phi, chi, w, event, epsilon, m, sided, process):
@@ -271,12 +330,14 @@ def enumeration_cases(draw, max_n=16, exponents=(1.0, 2.0)):
     shape = draw(st.sampled_from([ShapeFunction.abs_power, ShapeFunction.positive_part_power]))
     eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
     rho = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    event = draw(st.sampled_from(["A_n", "max"]))
     return dict(
         n=n, w=w, phi=shape(draw(st.sampled_from(exponents))),
         chi=ScaleFunction.linear(eps) if rho == 1.0 else ScaleFunction.power(eps, rho),
-        event=draw(st.sampled_from(["A_n", "max"])), epsilon=eps,
+        event=event, epsilon=eps,
         m=draw(st.integers(1, n)), sided=draw(st.sampled_from(["abs", "upper"])),
-        process=draw(st.sampled_from(["S", "u"])))
+        # the max event is defined on S only
+        process=draw(st.sampled_from(["S", "u"])) if event == "A_n" else "S")
 
 
 # |S_1|/b_1 = 1/2 = epsilon: the two-sided event (>=) holds, the one-sided (>) does not
@@ -289,38 +350,29 @@ TIE = dict(n=1, w=WeightSequence.custom([2.0]), phi=PHI1, chi=ScaleFunction.line
 @example(dict(TIE, sided="upper"))
 @settings(max_examples=150, deadline=None)
 def test_dynamic_program_equals_bitmask_enumeration(case):
-    expected = bitmask_enumerate(**case)
-    got = enumerate_exact(rademacher(case["n"]), case["phi"], case["chi"], case["w"],
-                          case["n"], case["event"], case["epsilon"], case["m"],
-                          case["sided"], case["process"])
-    assert got == expected
+    assert exact(rademacher(case["n"]), **case) == bitmask_enumerate(**case)
 
 
 def test_enumeration_tie_follows_the_sidedness():
     assert bitmask_enumerate(**TIE, sided="abs") == 1
     assert bitmask_enumerate(**TIE, sided="upper") == 0
     for sided, p in (("abs", 1), ("upper", 0)):
-        assert enumerate_exact(rademacher(1), w=TIE["w"], n=1, event="max",
-                               epsilon=0.5, sided=sided) == p
+        assert exact(rademacher(1), TIE["w"], event="max", epsilon=0.5, sided=sided) == p
 
 
 def test_enumeration_u_process_and_point_mass():
     # u_k counts the +1 steps: u_2 <= 1 fails only on the path (+1, +1)
     w = WeightSequence.custom([1.0, 1.0])
-    assert enumerate_exact(rademacher(2), PHI1, ScaleFunction.linear(1.0), w, 2, "A_n",
-                           process="u") == Fraction(3, 4)
-    mass = RandomSequenceSpec.point_mass(3, c=-1.0)
-    assert enumerate_exact(mass, PHI1, ScaleFunction.linear(2.0), WeightSequence.power(1.0, 3),
-                           3, "A_n") == 1
-    assert enumerate_exact(mass, w=WeightSequence.power(1.0, 3), n=3, event="max",
-                           epsilon=1.0, sided="upper") == 0
-    assert enumerate_exact(mass, PHI1, ScaleFunction.linear(0.5), WeightSequence.power(1.0, 3),
-                           3, "A_n", process="u") == 1
+    assert exact(rademacher(2), w, chi=ScaleFunction.linear(1.0), process="u") == Fraction(3, 4)
+    mass, w = RandomSequenceSpec.point_mass(3, c=-1.0), WeightSequence.power(1.0, 3)
+    assert exact(mass, w, chi=ScaleFunction.linear(2.0)) == 1
+    assert exact(mass, w, event="max", epsilon=1.0, sided="upper") == 0
+    assert exact(mass, w, chi=ScaleFunction.linear(0.5), process="u") == 1
 
 
 def per_step_enumerate(n, phi, chi, w, event, epsilon, m, sided, process):
     """The dynamic program with a fresh region test and count vector at every step k."""
-    allowed = _region(event, phi, chi, w, n, epsilon, m, sided, process)
+    allowed = _region(event_of(rademacher(n), w, event, phi, chi, epsilon, m, sided, process), w)
     down = -1 if process == "S" else 0
     paths = np.ones(1, dtype=object)
     for k in range(1, n + 1):
@@ -342,37 +394,45 @@ ROOT_ENVELOPE = dict(w=WeightSequence.power(0.5, 91), phi=ShapeFunction.abs_powe
 @given(enumeration_cases(300, (1.0, 1.5, 2.0, 3.0)))
 @example(dict(ROOT_ENVELOPE, n=90, m=1))   # CHUNK // 91 = 90 rows: one block
 @example(dict(ROOT_ENVELOPE, n=91, m=1))   # CHUNK // 92 = 89 rows: two blocks
+# S_73 / b_73 = 21 / 28 meets epsilon, a tie the strict "upper" reading leaves out
 @example(dict(ROOT_ENVELOPE, n=91, m=60, event="max", epsilon=0.75, sided="upper",
-              process="u", w=WeightSequence.custom([q / 4 for q in range(40, 131)])))
+              w=WeightSequence.custom([q / 4 for q in range(40, 131)])))
 @settings(max_examples=100, deadline=None)
 def test_blocked_region_test_equals_the_per_step_program(case):
-    got = enumerate_exact(rademacher(case["n"]), case["phi"], case["chi"], case["w"],
-                          case["n"], case["event"], case["epsilon"], case["m"],
-                          case["sided"], case["process"])
-    assert got == per_step_enumerate(**case)
+    assert exact(rademacher(case["n"]), **case) == per_step_enumerate(**case)
 
 
 @pytest.mark.parametrize("process", ["S", "u"])
 @pytest.mark.parametrize("sided", ["abs", "upper"])
 @pytest.mark.parametrize("n", [91, 1000, _ENUM_MAX_N])
 def test_last_step_exceedance_is_a_binomial_tail(n, sided, process):
-    """With m = n the max event is one step's: a sum of C(n, j) / 2^n over j.
+    """An exceedance that step n alone decides: a sum of C(n, j) / 2^n over j.
 
-    b_n = sqrt(n) is 64 at the cap, where |S_n| = 64 and u_n = 2080 meet
-    epsilon exactly, so abs (>=) and upper (>) differ by the tie.
+    On S it is the max event with m = n.  b_n = sqrt(n) is 64 at the cap,
+    where |S_n| = 64 meets epsilon = 1 exactly, so abs (>=) and upper (>)
+    differ by the tie.  On u, which never decreases, it is the complement of
+    A_n with flat weights, {u_n > c}; c = (n + sqrt(n)) / 2 is 2080 at the
+    cap, a value u_n takes, which the envelope's <= keeps in A_n.  There
+    ``sided`` picks the two-sided shape |x| or the one-sided x+, which agree
+    on u >= 0.
     """
-    w = WeightSequence.power(0.5, n)
-    b_n = float(w.materialize(n)[-1])
-    epsilon = 1.0 if process == "S" else (n + b_n) / (2 * b_n)
+    if process == "S":
+        w = WeightSequence.power(0.5, n)
+        b_n, level = float(w.materialize(n)[-1]), 1.0
+        event = dict(event="max", epsilon=1.0, m=n, sided=sided)
+    else:
+        w = WeightSequence.power(0.0, n)
+        b_n, level = 1.0, (n + math.sqrt(n)) / 2
+        shape = ShapeFunction.abs_power if sided == "abs" else ShapeFunction.positive_part_power
+        event = dict(phi=shape(1.0), chi=ScaleFunction.linear(level), process="u")
     tail = 0
     for j in range(n + 1):
         t = float(2 * j - n if process == "S" else j)
         ratio = (abs(t) if sided == "abs" else t) / b_n
-        if ratio >= epsilon if sided == "abs" else ratio > epsilon:
+        if ratio >= level if sided == "abs" and process == "S" else ratio > level:
             tail += math.comb(n, j)
-    got = enumerate_exact(rademacher(n), w=w, n=n, event="max", epsilon=epsilon, m=n,
-                          sided=sided, process=process)
-    assert got == Fraction(tail, 2 ** n)
+    got = exact(rademacher(n), w, **event)
+    assert (got if process == "S" else 1 - got) == Fraction(tail, 2 ** n)
 
 
 def test_enumeration_at_the_cap_keeps_no_lattice_sized_temporary():
@@ -384,8 +444,7 @@ def test_enumeration_at_the_cap_keeps_no_lattice_sized_temporary():
     n = _ENUM_MAX_N
     tracemalloc.start()
     try:
-        p = enumerate_exact(rademacher(n), PHI1, ScaleFunction.linear(8.0),
-                            WeightSequence.power(0.0, n), n, "A_n")
+        p = exact(rademacher(n), WeightSequence.power(0.0, n), chi=ScaleFunction.linear(8.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,13 +482,13 @@ def test_verdict_vacuous_for_clamped_bounds():
 
 def test_verdict_digest_guard():
     rep = _theorem1_report()
-    batch = TrajectoryBatch.generate(rademacher(2), 1000, 0)
-    est = estimate_event_An(batch, PHI1, ScaleFunction.linear(10.0), WeightSequence.power(1.0, 2))
+    spec, w = rademacher(2), WeightSequence.power(1.0, 2)
+    batch = TrajectoryBatch.generate(spec, 1000, 0)
+    est = estimate_event_An(batch, rep.event, w)
     assert est.event_digest == rep.inputs_digest
     assert verify_bound(est, rep) == "consistent"
 
-    other = estimate_event_An(batch, PHI1, ScaleFunction.linear(9.0),
-                              WeightSequence.power(1.0, 2))
+    other = estimate_event_An(batch, linear_event(spec, 9.0, w), w)
     with pytest.raises(DigestMismatchError):
         verify_bound(other, rep)
 
