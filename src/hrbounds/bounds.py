@@ -18,10 +18,10 @@ does the rest; callers read the event to estimate from the report.
 
 Moment data arrives as a MomentProfile, either from the closed-form table
 (`analytic_moment_profile`) or from Monte Carlo (`estimate_moment_profile`).
-Estimated profiles carry standard errors, are isotonically projected to
-restore the monotonicity the analytic quantities must have, and are flagged
-as non-integrable when running means fail to stabilize; both lower bounds
-refuse a flagged profile rather than silently use it.
+Estimated profiles are isotonically projected to restore the monotonicity
+the analytic quantities must have, and are flagged as non-integrable when
+running means fail to stabilize; both lower bounds refuse a flagged profile
+rather than silently use it.
 """
 
 from __future__ import annotations
@@ -73,39 +73,33 @@ def _frozen_vector(vec, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MomentProfile:
-    """Per-index moment data: E[phi(u_k)] and E[phi(v_k)].
+    """Per-index moment data: E[phi(u_k)] and E[phi(v_k)] for k = 1..n.
 
     The vectors are held as read-only 1-D float64 arrays, copied once from
     whatever sequence the caller passes; ``==`` is identity, so compare the
-    vectors themselves.  Estimated profiles carry per-entry
-    standard errors and the flag ``non_integrable`` (running means failed to
-    stabilize, so the expectations are not trusted to exist).
+    vectors themselves.  ``n`` is their common length.  ``source`` is the
+    law descriptor of the increment sequence, which the bounds' events name.
+    An estimated profile whose running means failed to stabilize is flagged
+    ``non_integrable`` (the expectations are not trusted to exist), with
+    the drift that flagged it in ``max_rel_drift``.
     """
 
-    n: int
     e_phi_u: np.ndarray
     e_phi_v: np.ndarray
-    provenance: str = "analytic"
-    replications: int | None = None
-    se_u: np.ndarray | None = None
-    se_v: np.ndarray | None = None
+    source: dict | None = None
     non_integrable: bool = False
     max_rel_drift: float | None = None
-    source: dict | None = None  # law descriptor of the increment sequence
 
     def __post_init__(self):
-        if self.provenance not in ("analytic", "estimated"):
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
+        for name in ("e_phi_u", "e_phi_v"):
+            object.__setattr__(self, name, _frozen_vector(getattr(self, name), name))
+        if self.e_phi_u.size != self.e_phi_v.size:
+            raise ValidationError(f"e_phi_u has {self.e_phi_u.size} entries, "
+                                  f"e_phi_v has {self.e_phi_v.size}")
         if self.n < 1:
             raise ValidationError(f"a moment profile needs n >= 1, got {self.n}")
-        for name in ("e_phi_u", "e_phi_v", "se_u", "se_v"):
-            vec = getattr(self, name)
-            if vec is not None:
-                object.__setattr__(self, name, _frozen_vector(vec, name))
         for name in ("e_phi_u", "e_phi_v"):
             arr = getattr(self, name)
-            if arr.size != self.n:
-                raise ValidationError(f"{name}: expected {self.n} entries, got {arr.size}")
             if not self.non_integrable and not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name}: non-finite entry")
             if np.any(arr < 0):
@@ -115,8 +109,10 @@ class MomentProfile:
                 raise HypothesisViolationError(
                     f"{name} must be nondecreasing in k",
                     failing_indices=[int(i) + 2 for i in bad])  # 1-based k of the drop
-        if self.provenance == "estimated" and (self.replications or 0) < 100:
-            raise ValidationError("estimated profiles need >= 100 replications")
+
+    @property
+    def n(self) -> int:
+        return self.e_phi_u.size
 
     def increments(self) -> np.ndarray:
         """Increments of E[phi(u_k)] + E[phi(v_k)] with the k=0 term zero."""
@@ -270,13 +266,7 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     if not (np.all(np.isfinite(e_u)) and np.all(np.isfinite(e_v))):
         raise _out_of_range(spec)
 
-    return MomentProfile(
-        n=n,
-        e_phi_u=e_u,
-        e_phi_v=e_v,
-        provenance="analytic",
-        source=spec.law(),
-    )
+    return MomentProfile(e_u, e_v, source=spec.law())
 
 
 def _pava(y) -> np.ndarray:
@@ -316,33 +306,21 @@ def estimate_moment_profile(batch: TrajectoryBatch, phi: ShapeFunction) -> Momen
     relative drift beyond 10% marks the profile as non-integrable, and bound
     evaluators then refuse it.
     """
-    replications = batch.replications
-    if replications < 100:
+    if batch.replications < 100:
         raise ValidationError("moment estimation needs >= 100 replications")
-    profile = {}
+    means = []
     drift = 0.0
-    for name, paths in (("u", batch.u), ("v", batch.v)):
+    for paths in (batch.u, batch.v):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
             values = phi(paths)  # (R, n)
             mean = values.mean(axis=0)
-            se = values.std(axis=0, ddof=1) / math.sqrt(replications)
         drift = max(drift, _running_mean_drift(values, mean))
-        profile[name] = (_pava(mean), se)
+        means.append(_pava(mean))
     non_integrable = drift > _DRIFT_LIMIT
-    if not (non_integrable or all(np.all(np.isfinite(profile[s][0])) for s in "uv")):
+    if not (non_integrable or all(np.all(np.isfinite(m)) for m in means)):
         raise _out_of_range(batch.spec, phi, "estimated phi means")
-    return MomentProfile(
-        n=batch.n,
-        e_phi_u=profile["u"][0],
-        e_phi_v=profile["v"][0],
-        provenance="estimated",
-        replications=replications,
-        se_u=profile["u"][1],
-        se_v=profile["v"][1],
-        non_integrable=non_integrable,
-        max_rel_drift=drift,
-        source=batch.spec.law(),
-    )
+    return MomentProfile(*means, source=batch.spec.law(), non_integrable=non_integrable,
+                         max_rel_drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +334,8 @@ class BoundReport:
     ``terms`` are the per-index contributions, a read-only 1-D float64 array
     copied once (``==`` is identity): lower bounds reconstruct as
     raw_value = 1 - sum(terms), upper bounds as raw_value = sum(terms).
-    ``value`` is raw_value clamped to [0, 1].  ``inputs_digest`` hashes the
-    event the bound constrains (law, shape, scale, weights, horizon), so a
-    matching estimate carries the same digest.
+    ``value`` is raw_value clamped to [0, 1].  ``event`` is the event the
+    bound constrains (law, shape, scale, weights, horizon).
     """
 
     bound_kind: str
@@ -366,8 +343,7 @@ class BoundReport:
     raw_value: float
     terms: np.ndarray
     hypotheses_checked: tuple[tuple[str, bool], ...]
-    inputs_digest: str
-    event: dict = field(repr=False, default_factory=dict)
+    event: dict = field(repr=False)
 
     def __post_init__(self):
         if self.bound_kind not in BOUND_KINDS:
@@ -378,9 +354,10 @@ class BoundReport:
     def direction(self) -> str:
         return "lower" if self.bound_kind.endswith("_lower") else "upper"
 
-    def reconstruct_raw(self) -> float:
-        s = _fsum(self.terms)
-        return 1.0 - s if self.direction == "lower" else s
+    @functools.cached_property
+    def inputs_digest(self) -> str:
+        """The digest of ``event``, which a matching estimate carries too."""
+        return digest_of(self.event)
 
     @property
     def informative(self) -> bool:
@@ -466,7 +443,6 @@ def _report(kind: str, terms: np.ndarray, event: dict, *checked: str) -> BoundRe
         raw_value=raw,
         terms=terms,
         hypotheses_checked=(*((name, True) for name in checked), ("informative", informative)),
-        inputs_digest=digest_of(event),
         event=event,
     )
 

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache, cached_property, lru_cache
 from pathlib import Path
 
@@ -40,18 +40,24 @@ from .bounds import (
     slln_series_check,
 )
 from .distributions import RandomSequenceSpec
-from .errors import AnalyticProfileUnavailable, HRBoundsError, NonIntegrabilityError, ValidationError
+from .errors import (
+    AnalyticProfileUnavailable,
+    HRBoundsError,
+    HypothesisViolationError,
+    NonIntegrabilityError,
+    ValidationError,
+)
 from .sequences import TrajectoryBatch
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, release_weights
 from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
-    _ENUM_MAX_N,
     check_checkpoints,
     check_demi_size,
     check_enumerable,
     check_event_reps,
     demi_check,
+    enumerable,
     enumerate_exact,
     estimate_event_An,
     estimate_max_event,
@@ -170,20 +176,12 @@ def _render(obj, depth: int, out: list[str | bytes]) -> None:
 # experiment configuration
 
 
-_TOP_KEYS = {
-    "scenario", "sequence", "shape", "scale", "weights", "n", "replications",
-    "master_seed", "epsilon", "m", "sided", "kinds", "profile", "checkpoints",
-    "series", "process", "family", "level", "event", "out_dir",
-}
-
-
 def _check_keys(d: dict, allowed: set, ctx: str) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ValidationError(f"{ctx}: unknown fields {unknown}")
 
 
-_MISSING = object()
 _JSON_NAMES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "an array", tuple: "an array", dict: "an object"}
 
@@ -231,25 +229,53 @@ def _list_of(check):
     return checked
 
 
+def _tuple_of(check):
+    return lambda value, path: tuple(_list_of(check)(value, path))
+
+
 def _optional(check):
     return lambda value, path: None if value is None else check(value, path)
 
 
-def _field(d: dict, key: str, check, ctx: str = "config", default=_MISSING):
+def _field(d: dict, key: str, check, ctx: str = "config", default=MISSING):
     """``d[key]`` passed through ``check``, whose errors name the field's path.
 
     An absent key gives ``default`` as it is, or an error when there is none.
     """
     if key not in d:
-        if default is _MISSING:
+        if default is MISSING:
             raise ValidationError(f"{ctx}: missing required field {key!r}")
         return default
     return check(d[key], key if ctx == "config" else f"{ctx}.{key}")
 
 
+# The JSON check of each top-level field that holds one plain value; the spec
+# objects, n and series are read by `ExperimentConfig.from_dict` itself.
+_FLAT_CHECKS = {
+    "scenario": _str,
+    "replications": _int,
+    "master_seed": _int,
+    "epsilon": _optional(_float),
+    "m": _int,
+    "sided": _str,
+    "kinds": _tuple_of(_str),
+    "profile": _str,
+    "checkpoints": _optional(_tuple_of(_int)),
+    "process": _str,
+    "family": _tuple_of(_str),
+    "level": _float,
+    "event": _str,
+    "out_dir": _optional(_str),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One archivable experiment: every knob, strictly validated."""
+    """One archivable experiment: every knob, strictly validated.
+
+    The fields are the config's top-level keys, and a field's default is the
+    key's default.
+    """
 
     scenario: str
     sequence: RandomSequenceSpec
@@ -306,7 +332,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config from its JSON form, checking the type of every field."""
-        _check_keys(_obj(d, "config"), _TOP_KEYS, "config")
+        _check_keys(_obj(d, "config"), {f.name for f in fields(cls)}, "config")
 
         seq = _field(d, "sequence", _obj)
         _check_keys(seq, {"family", "n", "params", "dependence"}, "sequence")
@@ -351,51 +377,23 @@ class ExperimentConfig:
             series = {"alpha": alpha, "r": _field(series, "r", _float, "series"),
                       "c": _field(series, "c", _float, "series", 1.0)}
 
-        checkpoints = _field(d, "checkpoints", _optional(_list_of(_int)), default=None)
-        return cls(
-            scenario=_field(d, "scenario", _str),
-            sequence=sequence, shape=shape, scale=scale, weights=weights, n=n,
-            replications=_field(d, "replications", _int, default=10_000),
-            master_seed=_field(d, "master_seed", _int, default=0),
-            epsilon=_field(d, "epsilon", _optional(_float), default=None),
-            m=_field(d, "m", _int, default=1),
-            sided=_field(d, "sided", _str, default="abs"),
-            kinds=tuple(_field(d, "kinds", _list_of(_str), default=["theorem1"])),
-            profile=_field(d, "profile", _str, default="auto"),
-            checkpoints=None if checkpoints is None else tuple(checkpoints),
-            series=series,
-            process=_field(d, "process", _str, default="S"),
-            family=tuple(_field(d, "family", _list_of(_str), default=DEFAULT_DEMI_FAMILY)),
-            level=_field(d, "level", _float, default=0.99),
-            event=_field(d, "event", _str, default="A_n"),
-            out_dir=_field(d, "out_dir", _optional(_str), default=None),
-        )
+        flat = {f.name: _field(d, f.name, _FLAT_CHECKS[f.name], default=f.default)
+                for f in fields(cls) if f.name in _FLAT_CHECKS}
+        return cls(sequence=sequence, shape=shape, scale=scale, weights=weights, n=n,
+                   series=series, **flat)
 
     def to_dict(self) -> dict:
-        w = self.weights.descriptor()
-        w.pop("n", None)  # the horizon is the config-level n
-        return {
-            "scenario": self.scenario,
-            "sequence": self.sequence.descriptor(),
-            "shape": self.shape.descriptor(),
-            "scale": self.scale.descriptor(),
-            "weights": w,
-            "n": self.n,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "epsilon": self.epsilon,
-            "m": self.m,
-            "sided": self.sided,
-            "kinds": list(self.kinds),
-            "profile": self.profile,
-            "checkpoints": None if self.checkpoints is None else list(self.checkpoints),
-            "series": self.series,
-            "process": self.process,
-            "family": list(self.family),
-            "level": self.level,
-            "event": self.event,
-            "out_dir": self.out_dir,
-        }
+        """The JSON form: spec objects as descriptors, tuples as lists."""
+        d = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, (RandomSequenceSpec, ShapeFunction, ScaleFunction, WeightSequence)):
+                v = v.descriptor()
+            elif isinstance(v, tuple):
+                v = list(v)
+            d[f.name] = v
+        del d["weights"]["n"]  # the horizon is the config-level n
+        return d
 
 
 PRESETS: dict[str, dict] = {
@@ -560,17 +558,14 @@ class _Draws:
 
     @cached_property
     def profile(self) -> MomentProfile:
-        return _moment_profile(self.cfg, self)
-
-
-def _moment_profile(cfg: ExperimentConfig, draws: _Draws) -> MomentProfile:
-    if cfg.profile in ("auto", "analytic"):
-        try:
-            return analytic_moment_profile(cfg.sequence, cfg.shape)
-        except AnalyticProfileUnavailable:
-            if cfg.profile == "analytic":
-                raise
-    return estimate_moment_profile(draws.batch, cfg.shape)
+        cfg = self.cfg
+        if cfg.profile in ("auto", "analytic"):
+            try:
+                return analytic_moment_profile(cfg.sequence, cfg.shape)
+            except AnalyticProfileUnavailable:
+                if cfg.profile == "analytic":
+                    raise
+        return estimate_moment_profile(self.batch, cfg.shape)
 
 
 def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
@@ -588,6 +583,11 @@ def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
     if sigma is None:
         raise NonIntegrabilityError(
             f"the {kind} bound needs finite E[X^2], which does not exist for {spec.family}")
+    p = spec.param_dict()
+    mean = p["mu"] if spec.family == "gaussian" else p["c"] if spec.family == "point_mass" else 0.0
+    if mean != 0.0:
+        raise HypothesisViolationError(
+            f"the {kind} bound needs centred increments, but E[X] = {mean!r} for {spec.family}")
     if kind == "classic":
         return bound_hajek_renyi_classic(
             np.full(cfg.n, ex2), cfg.weights, cfg.m, cfg.n,
@@ -596,12 +596,6 @@ def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
         return bound_amini(np.full(cfg.n, sigma), cfg.weights, cfg.n,
                            _need_epsilon(cfg, kind), source=spec.law())
     raise ValidationError(f"unknown bound kind {kind!r}")
-
-
-def _enumerable(cfg: ExperimentConfig) -> bool:
-    family = cfg.sequence.family
-    return family == "point_mass" or (
-        family == "rademacher" and cfg.n <= _ENUM_MAX_N)
 
 
 def _corrupt(report):
@@ -637,7 +631,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
             draws.batch, report.event, cfg.weights, cfg.level)
         verdicts = {"monte_carlo": verify_bound(estimate, report)}
         exact_payload = None
-        if _enumerable(cfg):
+        if enumerable(cfg.sequence):
             exact = enumerate_exact(cfg.sequence, report.event, cfg.weights)
             verdicts["exact"] = verify_bound(exact, report)
             exact_payload = {"numerator": exact.numerator,

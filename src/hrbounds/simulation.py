@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -65,8 +66,9 @@ class MonteCarloEstimate:
     """A binomial proportion with a two-sided confidence interval.
 
     Wilson intervals by default; exact Clopper-Pearson at the boundary
-    (p_hat of exactly 0 or 1), where Wilson degenerates.  ``event_digest``
-    identifies the event estimated so reports can be matched to bounds.
+    (p_hat of exactly 0 or 1), where Wilson degenerates.  ``event`` is the
+    event estimated, and its digest ``event_digest`` matches the report of a
+    bound on the same event.
     """
 
     p_hat: float
@@ -75,7 +77,6 @@ class MonteCarloEstimate:
     ci_high: float
     level: float = 0.99
     method: str = "wilson"
-    event_digest: str | None = None
     event: dict | None = None
 
     def __post_init__(self):
@@ -84,6 +85,10 @@ class MonteCarloEstimate:
                                   "0 <= ci_low <= p_hat <= ci_high <= 1")
         if self.method not in ("wilson", "exact_clopper_pearson"):
             raise ValidationError(f"unknown interval method {self.method!r}")
+
+    @cached_property
+    def event_digest(self) -> str | None:
+        return None if self.event is None else digest_of(self.event)
 
     def to_dict(self) -> dict:
         return {
@@ -126,8 +131,7 @@ def binomial_estimate(successes: int, replications: int, level: float = 0.99,
         method = "wilson"
     return MonteCarloEstimate(
         p_hat=p, replications=replications, ci_low=lo, ci_high=hi,
-        level=level, method=method,
-        event_digest=None if event is None else digest_of(event), event=event)
+        level=level, method=method, event=event)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +207,18 @@ def estimate_max_event(batch: TrajectoryBatch, event: dict, w: WeightSequence,
                              level, event)
 
 
+def enumerable(spec: RandomSequenceSpec) -> bool:
+    """Whether the exact oracle counts ``spec``: a point mass, or signs up to n = 4096."""
+    return spec.family == "point_mass" or (spec.family == "rademacher" and spec.n <= _ENUM_MAX_N)
+
+
 def check_enumerable(spec: RandomSequenceSpec) -> None:
     """Refuse a law the exact oracle cannot count (`enumerate` checks before building its event)."""
-    if spec.family not in ("rademacher", "point_mass"):
+    if not enumerable(spec):
+        if spec.family == "rademacher":
+            raise EnumerationSizeError(
+                f"horizon {spec.n} exceeds the exact-enumeration cap n <= {_ENUM_MAX_N}")
         raise ValidationError("exact enumeration needs a finite-support family")
-    if spec.family == "rademacher" and spec.n > _ENUM_MAX_N:
-        raise EnumerationSizeError(
-            f"horizon {spec.n} exceeds the exact-enumeration cap n <= {_ENUM_MAX_N}")
 
 
 def enumerate_exact(spec: RandomSequenceSpec, event: dict, w: WeightSequence) -> Fraction:
@@ -276,8 +285,8 @@ def verify_bound(estimate, report: BoundReport) -> str:
     (raw <= 0 for a lower bound, raw >= 1 for an upper bound), "violation"
     when the estimate's whole confidence interval sits on the wrong side of
     the bound, and "consistent" otherwise.  Exact probabilities (Fraction
-    or float) act as degenerate intervals.  When both sides carry an event
-    digest the digests must agree.
+    or float) act as degenerate intervals.  When the estimate carries an
+    event digest, it must be the report's.
     """
     if isinstance(estimate, MonteCarloEstimate):
         ci_low, ci_high = estimate.ci_low, estimate.ci_high
@@ -288,8 +297,7 @@ def verify_bound(estimate, report: BoundReport) -> str:
             raise ValidationError("exact probability outside [0, 1]")
         ci_low = ci_high = p
         digest = None
-    if digest is not None and report.inputs_digest is not None \
-            and digest != report.inputs_digest:
+    if digest is not None and digest != report.inputs_digest:
         raise DigestMismatchError(
             f"estimate describes {digest}, report describes {report.inputs_digest}")
     if report.direction == "lower":

@@ -53,8 +53,13 @@ def nondecreasing_moments(draw_min=0.0):
 
 
 def u_profile(us) -> MomentProfile:
-    """An analytic profile with E[phi(u_k)] = us and E[phi(v_k)] = 0."""
-    return MomentProfile(n=len(us), e_phi_u=us, e_phi_v=(0.0,) * len(us))
+    """A profile with E[phi(u_k)] = us and E[phi(v_k)] = 0."""
+    return MomentProfile(us, (0.0,) * len(us))
+
+
+def standard_errors(phi: ShapeFunction, paths: np.ndarray) -> np.ndarray:
+    """Per-k standard error of the mean of phi over the rows of ``paths``."""
+    return phi(paths).std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
 
 
 class TestTheorem1:
@@ -93,8 +98,7 @@ class TestTheorem1:
 
     def test_rejects_decreasing_moment_sequence(self):
         with pytest.raises(HypothesisViolationError) as exc:
-            MomentProfile(n=3, e_phi_u=(1.0, 0.5, 2.0), e_phi_v=(0.0, 0.0, 0.0),
-                          provenance="analytic")
+            MomentProfile((1.0, 0.5, 2.0), (0.0, 0.0, 0.0))
         assert tuple(exc.value.failing_indices) == (2,)
 
     def test_estimated_route_agrees_with_analytic(self):
@@ -117,11 +121,10 @@ class TestTheorem1:
     @settings(max_examples=60)
     def test_terms_reconstruct_raw_value(self, us, vs):
         n = min(len(us), len(vs))
-        mp = MomentProfile(n=n, e_phi_u=us[:n], e_phi_v=vs[:n],
-                           provenance="analytic")
+        mp = MomentProfile(us[:n], vs[:n])
         rep = bound_theorem1(PHI1, ScaleFunction.linear(1.0),
                              WeightSequence.power(1.0, n), mp)
-        assert rep.raw_value == pytest.approx(rep.reconstruct_raw(), rel=1e-12)
+        assert rep.raw_value == 1.0 - math.fsum(rep.terms)
         assert 0.0 <= rep.value <= 1.0
 
     @given(nondecreasing_moments())
@@ -261,7 +264,6 @@ class TestMomentProfiles:
         mp = estimate_moment_profile(TrajectoryBatch.generate(spec, 200, 0), PHI1)
         np.testing.assert_array_equal(mp.e_phi_u, np.zeros(4))
         np.testing.assert_array_equal(mp.e_phi_v, np.zeros(4))
-        np.testing.assert_array_equal(mp.se_u, np.zeros(4))
 
     def test_point_mass_analytic_any_exponent(self):
         spec = RandomSequenceSpec("point_mass", 3, (("c", -2.0),))
@@ -271,14 +273,15 @@ class TestMomentProfiles:
 
     def test_rademacher_estimated_linear_growth(self):
         """E[u_k] = k/2 for sign increments; 1e5 replications, 4 se."""
-        mp = estimate_moment_profile(
-            TrajectoryBatch.generate(RandomSequenceSpec("rademacher", 3), 100_000, 0), PHI1)
+        batch = TrajectoryBatch.generate(RandomSequenceSpec("rademacher", 3), 100_000, 0)
+        mp, se = estimate_moment_profile(batch, PHI1), standard_errors(PHI1, batch.u)
         for k in range(3):
-            assert abs(mp.e_phi_u[k] - 0.5 * (k + 1)) <= 4 * mp.se_u[k]
+            assert abs(mp.e_phi_u[k] - 0.5 * (k + 1)) <= 4 * se[k]
 
     def test_gaussian_half_normal_first_entry(self):
-        mp = estimate_moment_profile(TrajectoryBatch.generate(GAUSS(1), 100_000, 1), PHI1)
-        assert abs(mp.e_phi_u[0] - 1.0 / math.sqrt(2 * math.pi)) <= 4 * mp.se_u[0]
+        batch = TrajectoryBatch.generate(GAUSS(1), 100_000, 1)
+        mp, se = estimate_moment_profile(batch, PHI1), standard_errors(PHI1, batch.u)
+        assert abs(mp.e_phi_u[0] - 1.0 / math.sqrt(2 * math.pi)) <= 4 * se[0]
 
     @pytest.mark.parametrize("family,params,nu,seed", [
         ("gaussian", (("mu", 0.0), ("sigma", 1.0)), 2.0, 1),
@@ -289,10 +292,12 @@ class TestMomentProfiles:
         spec = RandomSequenceSpec(family, 6, params)
         phi = ShapeFunction.abs_power(nu)
         a = analytic_moment_profile(spec, phi)
-        e = estimate_moment_profile(TrajectoryBatch.generate(spec, 20_000, seed), phi)
+        batch = TrajectoryBatch.generate(spec, 20_000, seed)
+        e = estimate_moment_profile(batch, phi)
+        noise_u, noise_v = standard_errors(phi, batch.u), standard_errors(phi, batch.v)
         for k in range(6):
-            assert abs(a.e_phi_u[k] - e.e_phi_u[k]) <= 4 * e.se_u[k]
-            assert abs(a.e_phi_v[k] - e.e_phi_v[k]) <= 4 * e.se_v[k]
+            assert abs(a.e_phi_u[k] - e.e_phi_u[k]) <= 4 * noise_u[k]
+            assert abs(a.e_phi_v[k] - e.e_phi_v[k]) <= 4 * noise_v[k]
 
     def test_stable_second_moment_analytic_refusal(self):
         with pytest.raises(NonIntegrabilityError):
@@ -336,17 +341,20 @@ class TestMomentProfiles:
 
 class TestVectorsAreFrozenArrays:
     def test_profile_vectors_are_read_only_copies(self):
-        us, vs, se = [0.5, 1.0, 1.5], np.array([0.0, 0.25, 0.5]), np.array([0.1, 0.1, 0.1])
-        mp = MomentProfile(n=3, e_phi_u=us, e_phi_v=vs, provenance="estimated",
-                           replications=100, se_u=se, se_v=se)
-        us[0], vs[0], se[0] = 9.0, 9.0, 9.0
-        for name, want in (("e_phi_u", [0.5, 1.0, 1.5]), ("e_phi_v", [0.0, 0.25, 0.5]),
-                           ("se_u", [0.1] * 3), ("se_v", [0.1] * 3)):
+        us, vs = [0.5, 1.0, 1.5], np.array([0.0, 0.25, 0.5])
+        mp = MomentProfile(us, vs)
+        us[0], vs[0] = 9.0, 9.0
+        for name, want in (("e_phi_u", [0.5, 1.0, 1.5]), ("e_phi_v", [0.0, 0.25, 0.5])):
             vec = getattr(mp, name)
             assert vec.dtype == np.float64 and vec.ndim == 1 and not vec.flags.writeable
             np.testing.assert_array_equal(vec, want)
             with pytest.raises(ValueError):
                 vec[0] = 2.0
+
+    def test_profile_vectors_of_unequal_length_are_refused(self):
+        with pytest.raises(ValidationError, match="e_phi_u has 3 entries, e_phi_v has 2"):
+            MomentProfile([0.5, 1.0, 1.5], [0.0, 0.25])
+        assert MomentProfile([0.5, 1.0, 1.5], [0.0, 0.25, 0.5]).n == 3
 
     def test_computed_profiles_hold_read_only_arrays(self):
         for mp in (analytic_moment_profile(GAUSS(5), PHI1),

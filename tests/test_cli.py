@@ -76,6 +76,58 @@ def test_config_round_trip_is_identity():
         assert again.to_dict() == cfg.to_dict()
 
 
+# Every top-level field set to a value other than its default.
+EVERY_FIELD = {
+    "scenario": "every-field",
+    "sequence": {"family": "gaussian", "n": 24, "params": {"mu": 0.0, "sigma": 1.5},
+                 "dependence": "iid"},
+    "shape": {"kind": "positive_part_power", "exponent": 2.0},
+    "scale": {"kind": "power", "epsilon": 12.0, "rho": 2.0},
+    "weights": {"kind": "power", "beta": 0.75},
+    "n": 24,
+    "replications": 1500,
+    "master_seed": 21,
+    "epsilon": 4.0,
+    "m": 3,
+    "sided": "upper",
+    "kinds": ["theorem1", "rao", "classic", "amini"],
+    "profile": "estimated",
+    "checkpoints": [4, 12, 24],
+    "series": {"alpha": 0.5, "r": 2.0, "c": 2.0},
+    "process": "u",
+    "family": ["const", "running_max"],
+    "level": 0.95,
+    "event": "max",
+    "out_dir": "every-field-out",
+}
+
+
+PRESET_DIGESTS = {
+    "rademacher-n2-eps10": "96112010f4b22f79",
+    "rademacher-oracle": "e64f241b8a937d7e",
+    "amini-recovery": "ef94692fd4aad6e6",
+    "stable-first-moment": "04b1eab842f0c946",
+    "demi-martingale": "d1c6eafea0c679ea",
+    "demi-drift": "1227673fc18b4c04",
+}
+
+
+@pytest.mark.parametrize("config, digest", [
+    *(pytest.param(PRESETS[name], digest, id=name) for name, digest in PRESET_DIGESTS.items()),
+    pytest.param(EVERY_FIELD, "4999e682729fd3e3", id="every-field"),
+    pytest.param(dict(EVERY_FIELD, scenario="every-field-custom",
+                      weights={"kind": "custom", "values": [1.0 + 0.5 * k for k in range(24)]},
+                      series={"alpha": [1.0 / (k + 1) for k in range(24)], "r": 1.0, "c": 0.5},
+                      checkpoints=None, epsilon=None, out_dir=None),
+                 "499fa8f7b94f8911", id="custom-weights-alpha-vector"),
+    pytest.param(dict(EVERY_FIELD, scenario="every-field-log", weights={"kind": "log"}),
+                 "fbaeb0c9ab9edd3c", id="log-weights"),
+])
+def test_config_digest_is_pinned(config, digest):
+    """A report's config_digest hashes the config's JSON form; these pin it."""
+    assert cli.digest_of(ExperimentConfig.from_dict(config).to_dict()) == digest
+
+
 def test_unknown_fields_rejected_everywhere():
     bad_top = dict(BASE, surprise=1)
     with pytest.raises(ValidationError, match="unknown fields"):
@@ -510,6 +562,32 @@ def test_bound_amini_zero_dispersion(tmp_path, monkeypatch):
     assert code == 0
     payload = json.loads((tmp_path / "bound_amini.json").read_text())
     assert payload["report"]["value"] == 0.0
+
+
+POINT_MASS_HALF = {"family": "point_mass", "n": 6, "params": {"c": 0.5}}
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("sequence, kind, extra, mean", [
+    # exact P(max |S_k|/k >= 0.4) is 1: amini's bound was 0, classic's 0.2604
+    pytest.param(POINT_MASS_HALF, "amini", {}, "0.5 for point_mass", id="point_mass-amini"),
+    pytest.param(POINT_MASS_HALF, "classic", {"m": 6}, "0.5 for point_mass",
+                 id="point_mass-classic"),
+    # p_hat about 0.999: amini's bound was 0.765
+    pytest.param({"family": "gaussian", "n": 6, "params": {"mu": -0.5, "sigma": 0.1}},
+                 "amini", {}, "-0.5 for gaussian", id="gaussian-amini"),
+])
+def test_upper_bounds_refuse_non_centred_laws(tmp_path, monkeypatch, capsys, command,
+                                              sequence, kind, extra, mean):
+    cfg = dict(BASE, sequence=sequence, kinds=[kind], epsilon=0.4, **extra)
+    out = tmp_path / "out"
+    code = run([command, "--config", write_config(tmp_path, cfg), "--out", str(out)],
+               monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "HypothesisViolationError",
+        "message": f"the {kind} bound needs centred increments, but E[X] = {mean}"}
+    assert not list(out.glob(f"{command}_*.json"))
 
 
 @pytest.mark.parametrize("profile", ["auto", "estimated"])

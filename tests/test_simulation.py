@@ -31,6 +31,8 @@ from hrbounds.simulation import (
     demi_check,
     _ENUM_MAX_N,
     _region,
+    check_enumerable,
+    enumerable,
     enumerate_exact,
     estimate_event_An,
     estimate_max_event,
@@ -293,6 +295,22 @@ def test_enumeration_guards():
         exact(gaussian(4), WeightSequence.power(1.0, 4), chi=ScaleFunction.linear(1.0))
     with pytest.raises(ParameterDomainError):  # the constructor refuses a missing epsilon
         event_of(rademacher(4), WeightSequence.power(1.0, 4), "max")
+
+
+def test_enumerable_is_what_check_enumerable_accepts():
+    point_mass = lambda n: RandomSequenceSpec("point_mass", n, (("c", 0.5),))
+    cases = [(rademacher(4096), True), (rademacher(4097), False), (point_mass(1), True),
+             (point_mass(10 ** 6), True), (gaussian(4), False)]
+    for spec, want in cases:
+        assert enumerable(spec) is want
+        if want:
+            check_enumerable(spec)
+    with pytest.raises(EnumerationSizeError,
+                       match=r"^horizon 4097 exceeds the exact-enumeration cap n <= 4096$"):
+        check_enumerable(rademacher(4097))
+    with pytest.raises(ValidationError,
+                       match="^exact enumeration needs a finite-support family$"):
+        check_enumerable(gaussian(4))
 
 
 def bitmask_enumerate(n, phi, chi, w, event, epsilon, m, sided, process):
