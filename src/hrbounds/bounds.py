@@ -43,7 +43,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch
+from .sequences import RowBlock, TrajectoryBatch
 from .shape_functions import (
     ScaleFunction,
     ShapeFunction,
@@ -288,33 +288,86 @@ def _pava(y) -> np.ndarray:
     return np.repeat(np.divide(sums, sizes), sizes)
 
 
-def _running_mean_drift(samples: np.ndarray, full: np.ndarray) -> float:
-    """Max over k of the relative change between half- and full-sample means;
-    ``full`` is ``samples.mean(axis=0)``."""
-    half = samples[: samples.shape[0] // 2].mean(axis=0)
+def _running_mean_drift(half: np.ndarray, full: np.ndarray) -> float:
+    """Max over k of the relative change between half- and full-sample means."""
     scale = np.maximum(np.abs(full), np.abs(half))
     with np.errstate(invalid="ignore"):
         rel = np.where(scale > 0, np.abs(full - half) / np.where(scale > 0, scale, 1.0), 0.0)
     return float(np.max(rel)) if rel.size else 0.0
 
 
-def estimate_moment_profile(batch: TrajectoryBatch, phi: ShapeFunction) -> MomentProfile:
+def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
+    """``total`` plus the rows of ``rows``, one row after another.
+
+    numpy sums an ``(R, n)`` array along axis 0 row after row when n >= 2, so
+    totals taken block by block equal the whole array's ``sum(axis=0)`` bit
+    for bit.
+    """
+    if not len(rows):
+        return total
+    return rows.sum(axis=0) if total is None else np.concatenate((total[None], rows)).sum(axis=0)
+
+
+class PhiSums:
+    """Column sums of phi(u) and phi(v) over a batch's rows, taken block by block.
+
+    The sums over all R rows give the means of `estimate_moment_profile`, and
+    the sums over the first R // 2 rows the half-sample means of its drift
+    check; each is the mean of the whole ``(R, n)`` matrix to the bit.  numpy
+    sums a single column (n = 1) pairwise, not row after row, so at n = 1 the
+    values themselves are kept, one float a row, and summed whole.
+    """
+
+    def __init__(self, phi: ShapeFunction, replications: int):
+        self.phi = phi
+        self.replications = int(replications)
+        self.sums: list = [None, None]
+        self.halves: list = [None, None]
+        self.columns: list[list[np.ndarray]] = [[], []]
+
+    def take(self, block: RowBlock) -> None:
+        cut = self.replications // 2 - block.first   # rows of this block in the first half
+        for i, walk in enumerate((block.u, block.v)):
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
+                values = self.phi(walk)
+                if values.shape[1] == 1:
+                    self.columns[i].append(values)
+                    continue
+                if 0 <= cut <= len(values):
+                    self.halves[i] = _add_rows(self.sums[i], values[:cut])
+                self.sums[i] = _add_rows(self.sums[i], values)
+
+    def means(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(full-sample mean, half-sample mean) of phi(u) and of phi(v)."""
+        reps, half = self.replications, self.replications // 2
+        if self.columns[0]:
+            columns = [np.concatenate(c) for c in self.columns]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return [(c.mean(axis=0), c[:half].mean(axis=0)) for c in columns]
+        return [(total / reps, first / half) for total, first in zip(self.sums, self.halves)]
+
+
+def estimate_moment_profile(batch: TrajectoryBatch, phi: ShapeFunction,
+                            sums: PhiSums | None = None) -> MomentProfile:
     """Monte Carlo moment profile of ``batch``'s law, with isotonic projection and drift check.
 
     Every row of the batch is one replicate.  The non-integrability detector
     compares the half-sample and full-sample running means entrywise;
     relative drift beyond 10% marks the profile as non-integrable, and bound
-    evaluators then refuse it.
+    evaluators then refuse it.  Pass ``sums`` when they have taken the batch
+    in a shared pass.
     """
     if batch.replications < 100:
         raise ValidationError("moment estimation needs >= 100 replications")
+    if sums is None:
+        sums = PhiSums(phi, batch.replications)
+        batch.fold(sums)
+    elif sums.phi != phi:
+        raise ValidationError("the phi sums are of another shape function")
     means = []
     drift = 0.0
-    for paths in (batch.u, batch.v):
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
-            values = phi(paths)  # (R, n)
-            mean = values.mean(axis=0)
-        drift = max(drift, _running_mean_drift(values, mean))
+    for mean, half in sums.means():
+        drift = max(drift, _running_mean_drift(half, mean))
         means.append(_pava(mean))
     non_integrable = drift > _DRIFT_LIMIT
     if not (non_integrable or all(np.all(np.isfinite(m)) for m in means)):

@@ -29,6 +29,7 @@ from . import __version__
 from ._digest import digest_of, event_a_n, event_max_ratio
 from .bounds import (
     MomentProfile,
+    PhiSums,
     SLLNSeriesSpec,
     _increment_sigma_ex2,
     analytic_moment_profile,
@@ -52,6 +53,8 @@ from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, relea
 from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
+    MonteCarloEstimate,
+    RowCounter,
     check_checkpoints,
     check_demi_size,
     check_enumerable,
@@ -536,19 +539,25 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class _Draws:
-    """The trajectory batch and moment profile that all kinds of one command share.
+    """The one pass over the trajectory batch, and the moment profile, that all kinds share.
 
-    ``batch`` is the only place a command builds a `TrajectoryBatch`.  Each
-    is made on first use and then kept, so a command draws its
-    ``replications`` rows, in blocks of ``block_rows(n)`` rows per
-    ``SeedSpec(master_seed, b)`` stream, at most once, and
-    kinds that need neither (analytic-profile `bound`, `classic`, `amini`)
-    draw nothing.
+    ``batch`` is the only place a command builds a `TrajectoryBatch`, and
+    ``folded`` its one pass: each is made on first use and then kept, so a
+    command draws its ``replications`` rows, in blocks of ``block_rows(n)``
+    rows per ``SeedSpec(master_seed, b)`` stream, at most once, and kinds
+    that need neither (analytic-profile `bound`, `classic`, `amini`) draw
+    nothing.  The pass feeds one `RowCounter` per distinct event in
+    ``events`` and, when a kind reads an estimated profile, its `PhiSums`.
     """
 
-    def __init__(self, cfg: ExperimentConfig, threads: int):
+    def __init__(self, cfg: ExperimentConfig, threads: int, events=()):
         self.cfg = cfg
         self.threads = threads
+        self.counters: dict[str, RowCounter] = {}
+        for event in events:
+            digest = digest_of(event)
+            if digest not in self.counters:
+                self.counters[digest] = RowCounter(event, cfg.weights)
 
     @cached_property
     def batch(self) -> TrajectoryBatch:
@@ -557,15 +566,52 @@ class _Draws:
                                         threads=self.threads)
 
     @cached_property
-    def profile(self) -> MomentProfile:
+    def analytic(self) -> MomentProfile | None:
+        """The closed-form profile; None when the config asks for an estimate or none exists."""
         cfg = self.cfg
-        if cfg.profile in ("auto", "analytic"):
+        if cfg.profile != "estimated":
             try:
                 return analytic_moment_profile(cfg.sequence, cfg.shape)
             except AnalyticProfileUnavailable:
                 if cfg.profile == "analytic":
                     raise
-        return estimate_moment_profile(self.batch, cfg.shape)
+        return None
+
+    @cached_property
+    def folded(self) -> PhiSums | None:
+        """Fold the batch once into every counter, and into the phi sums when a kind needs them."""
+        cfg = self.cfg
+        sums = None
+        # with profile "analytic" none is estimated: a kind that reads it refuses at its turn
+        if (cfg.profile != "analytic" and any(k in ("theorem1", "rao") for k in cfg.kinds)
+                and self.analytic is None):
+            sums = PhiSums(cfg.shape, cfg.replications)
+        self.batch.fold(*self.counters.values(), *([sums] if sums else []))
+        return sums
+
+    @cached_property
+    def profile(self) -> MomentProfile:
+        if self.analytic is not None:
+            return self.analytic
+        return estimate_moment_profile(self.batch, self.cfg.shape, self.folded)
+
+    def estimate(self, event: dict) -> MonteCarloEstimate:
+        """The Monte Carlo estimate of ``event``, read from its counter after the one pass."""
+        self.folded  # the one pass feeds every counter
+        estimator = estimate_event_An if event["event"] == "A_n" else estimate_max_event
+        return estimator(self.batch, event, self.cfg.weights, self.cfg.level,
+                         self.counters[digest_of(event)])
+
+
+def _event(kind: str, cfg: ExperimentConfig) -> dict:
+    """The event the ``kind`` bound of ``cfg`` describes, built from the config alone."""
+    law = cfg.sequence.law()
+    if kind in ("theorem1", "rao"):
+        return event_a_n(law, cfg.shape, cfg.scale, cfg.weights, cfg.n,
+                         "S" if kind == "theorem1" else "u")
+    if kind == "classic":
+        return event_max_ratio(law, cfg.weights, cfg.m, cfg.n, _need_epsilon(cfg, kind), cfg.sided)
+    return event_max_ratio(law, cfg.weights, 1, cfg.n, _need_epsilon(cfg, kind), "abs")
 
 
 def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
@@ -621,14 +667,20 @@ def cmd_bound(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
     check_event_reps(cfg.replications)  # every kind is estimated: refuse before drawing
+    events = {}
+    for kind in cfg.kinds:
+        try:
+            events[kind] = _event(kind, cfg)
+        except (HRBoundsError, IndexError):
+            # _compute_bound refuses this kind at its turn, once the kinds before it are written
+            break
     code = 0
-    draws = _Draws(cfg, args.threads)
+    draws = _Draws(cfg, args.threads, events.values())
     for kind in cfg.kinds:
         report = _compute_bound(kind, cfg, draws)
         if args.corrupt_bound:
             report = _corrupt(report)
-        estimate = (estimate_event_An if report.event["event"] == "A_n" else estimate_max_event)(
-            draws.batch, report.event, cfg.weights, cfg.level)
+        estimate = draws.estimate(events[kind])
         verdicts = {"monte_carlo": verify_bound(estimate, report)}
         exact_payload = None
         if enumerable(cfg.sequence):

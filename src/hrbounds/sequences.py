@@ -23,6 +23,7 @@ chunk; a longer row is one block of its own.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -154,30 +155,37 @@ def block_rows(n: int) -> int:
 
 
 def for_each_block(spec: RandomSequenceSpec, rows: int, master_seed: int, threads: int,
-                   take: Callable[[int, Iterator[np.ndarray]], None]) -> None:
-    """Draw rows [0, rows) of spec's law block by block; call take(first_row, pieces).
+                   take: Callable[[int, Iterator[np.ndarray]], object]) -> Iterator:
+    """Draw rows [0, rows) of spec's law block by block; yield take(first_row, pieces) in order.
 
     ``pieces`` is the block's ``draw_chunks`` from ``SeedSpec(master_seed, b)``.
     Every block is drawn whole and the last one is then cut to size, so a
     batch of R rows is a row-prefix of any larger batch.  Threads take whole
     blocks, so the rows do not depend on ``threads``; ``take`` may run on
-    several threads at once.
+    several threads at once.  At most ``2 * threads`` blocks are in flight,
+    so the draw does not run ahead of a slow reader.
     """
     n = int(spec.n)
     m = block_rows(n)
 
-    def one(b: int) -> None:
+    def one(b: int):
         pieces = draw_chunks(spec, SeedSpec(master_seed, b), rows=m)
         # only a block of several rows is cut, and it is a single piece
-        take(b * m, (x[:(rows - b * m) * n] for x in pieces))
+        return take(b * m, (x[:(rows - b * m) * n] for x in pieces))
 
     blocks = range(-(-rows // m))
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, blocks))
+            window = deque()
+            for b in blocks:
+                if len(window) == 2 * threads:
+                    yield window.popleft().result()
+                window.append(pool.submit(one, b))
+            while window:
+                yield window.popleft().result()
     else:
         for b in blocks:
-            one(b)
+            yield one(b)
 
 
 def _sum_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -192,42 +200,24 @@ def _sum_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """R independent trajectories, drawn in blocks of ``block_rows(n)`` rows.
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Rows [first, first + len(x)) of a batch: the increments x, an ``(rows, n)`` array.
 
-    Row r is row ``r % m`` of ``sample_iid(spec, SeedSpec(master_seed, r // m),
-    rows=m)``.  A row depends on the seed and n, not on the worker count, and
-    a batch of R rows is a row-prefix of any larger batch.  A batch is built
-    from the increments x and their prefix sums s.  The one-sided walks u and
-    v are built from x on first read and then kept, so a command that reads
-    only s pays for neither; each is summed in place of its positive (or
-    negative) parts, so no temporary is longer than a chunk.
+    The prefix sums s and the one-sided walks u and v are built from x on
+    first read and then kept, so a reader of s alone pays for neither walk;
+    each walk is summed in place of its positive (or negative) parts.  Row
+    sums do not depend on the other rows of the block, so every value is
+    the one the whole batch's row would have.
     """
 
-    spec: RandomSequenceSpec
-    master_seed: int
-    x: np.ndarray  # (R, n) increments
-    s: np.ndarray
+    first: int
+    x: np.ndarray
 
-    @classmethod
-    def generate(cls, spec: RandomSequenceSpec, replications: int, master_seed: int,
-                 threads: int = 1) -> "TrajectoryBatch":
-        replications = int(replications)
-        if replications < 1:
-            raise ValidationError("replication count must be >= 1")
-        n = int(spec.n)
-        x = np.empty((replications, n), dtype=np.float64)
-
-        def fill(first: int, pieces: Iterator[np.ndarray]) -> None:
-            flat = x[first:].reshape(-1)
-            size = 0
-            for piece in pieces:
-                flat[size:size + piece.size] = piece
-                size += piece.size
-
-        for_each_block(spec, replications, master_seed, threads, fill)
-        return cls(spec=spec, master_seed=int(master_seed), x=x, s=_sum_rows(x, np.empty_like(x)))
+    @cached_property
+    def s(self) -> np.ndarray:
+        """S_k = X_1 + ... + X_k, per row."""
+        return _sum_rows(self.x, np.empty_like(self.x))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -240,10 +230,50 @@ class TrajectoryBatch:
         v = np.negative(self.x)
         return _sum_rows(np.maximum(v, 0.0, out=v))
 
-    @property
-    def replications(self) -> int:
-        return self.x.shape[0]
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """R independent trajectories of spec's law: a description of rows, not the rows.
+
+    Row r is row ``r % m`` of ``sample_iid(spec, SeedSpec(master_seed, r // m),
+    rows=m)``, with m = ``block_rows(n)``.  A row depends on the seed and n,
+    not on ``threads``, and a batch of R rows is a row-prefix of any larger
+    batch.  ``blocks()`` draws the rows, one `RowBlock` at a time in row
+    order; a consumer folds them and keeps only what it needs.
+    """
+
+    spec: RandomSequenceSpec
+    replications: int
+    master_seed: int
+    threads: int = 1
+
+    @classmethod
+    def generate(cls, spec: RandomSequenceSpec, replications: int, master_seed: int,
+                 threads: int = 1) -> "TrajectoryBatch":
+        """The batch of ``replications`` rows; nothing is drawn until ``blocks()`` is read."""
+        replications = int(replications)
+        if replications < 1:
+            raise ValidationError("replication count must be >= 1")
+        return cls(spec=spec, replications=replications, master_seed=int(master_seed),
+                   threads=int(threads))
 
     @property
     def n(self) -> int:
-        return self.x.shape[1]
+        return int(self.spec.n)
+
+    def blocks(self) -> Iterator[RowBlock]:
+        """The rows, drawn block by block and yielded in row order."""
+        n = self.n
+
+        def gather(first: int, pieces: Iterator[np.ndarray]) -> RowBlock:
+            pieces = list(pieces)
+            x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            return RowBlock(first, x.reshape(-1, n))
+
+        return for_each_block(self.spec, self.replications, self.master_seed, self.threads, gather)
+
+    def fold(self, *takers) -> None:
+        """Hand every block, in row order, to each taker's ``take(block)``: one draw for all."""
+        for block in self.blocks():
+            for taker in takers:
+                taker.take(block)

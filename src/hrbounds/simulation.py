@@ -36,7 +36,7 @@ from .errors import (
     ParameterDomainError,
     ValidationError,
 )
-from .sequences import TrajectoryBatch, for_each_block, prefix_sum_chunks
+from .sequences import RowBlock, TrajectoryBatch, for_each_block, prefix_sum_chunks
 from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, weights_sha256
 
 # Largest sign-sequence horizon of the exact oracle.  There the dynamic program
@@ -46,6 +46,9 @@ _ENUM_MAX_N = 4096
 DEMI_PROCESSES = ("S", "u", "v", "phi_of_S_plus")
 DEFAULT_DEMI_FAMILY = ("const", "coordinate", "running_max",
                        "indicator_q25", "indicator_q75")
+# Largest R * n of a demi check.  Its (n, R) matrix and the margins' work
+# arrays take about 40 bytes an entry: 1.3 GB at this budget.
+_DEMI_MAX_ENTRIES = 2 ** 25
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +174,9 @@ def _same_law(spec: RandomSequenceSpec, n: int, event: dict) -> None:
         raise DigestMismatchError(f"paths of {spec.law()} at n={n} are not the event's")
 
 
-def _inside(allowed, paths: np.ndarray) -> int:
-    """Number of sampled paths (rows) every one of whose steps is allowed."""
-    return int(np.all(allowed(np.arange(1, paths.shape[1] + 1), paths), axis=1).sum())
+def _inside(allowed, steps: np.ndarray, paths: np.ndarray) -> int:
+    """Number of sampled paths (rows) every one of whose steps (1..n) is allowed."""
+    return int(np.all(allowed(steps, paths), axis=1).sum())
 
 
 def check_event_reps(reps: int) -> None:
@@ -182,28 +185,66 @@ def check_event_reps(reps: int) -> None:
         raise ValidationError("event estimation needs >= 1000 replications")
 
 
-def _rows_inside(batch: TrajectoryBatch, event: dict, w: WeightSequence, kind: str) -> int:
-    """Rows of ``batch`` whose walk stays in the region of ``event``, an event of ``kind``."""
+def _walk(block: RowBlock, process: str) -> np.ndarray:
+    """The block's prefix sums of ``process``: "S" (the partial sums), "u" or "v"."""
+    return block.s if process == "S" else getattr(block, process)
+
+
+class RowCounter:
+    """Counts, block by block, the rows whose walk stays in the region of ``event``.
+
+    The region and the step vector are built once, when the counter is
+    made; ``inside`` is the count over the blocks taken so far.
+    """
+
+    def __init__(self, event: dict, w: WeightSequence):
+        self.event = event
+        self.inside = 0
+        self._allowed = _region(event, w)
+        self._steps = np.arange(1, event["n"] + 1)
+        self._process = event.get("process", "S")
+
+    def take(self, block: RowBlock) -> None:
+        self.inside += _inside(self._allowed, self._steps, _walk(block, self._process))
+
+
+def _count(batch: TrajectoryBatch, event: dict, w: WeightSequence, kind: str,
+           counter: RowCounter | None) -> int:
+    """Rows of ``batch`` whose walk stays in the region of ``event``, an event of ``kind``.
+
+    A given ``counter`` has already taken the batch and must count ``event``;
+    otherwise one is made and folded over the batch here.
+    """
     if event["event"] != kind:
         raise ValidationError(f"expected an event of kind {kind!r}, got {event['event']!r}")
     _same_law(batch.spec, batch.n, event)
-    allowed = _region(event, w)
     check_event_reps(batch.replications)
-    return _inside(allowed, _process_matrix(batch, event.get("process", "S"), None))
+    if counter is None:
+        counter = RowCounter(event, w)
+        batch.fold(counter)
+    elif counter.event != event:
+        raise DigestMismatchError("the row counter counted another event")
+    return counter.inside
 
 
 def estimate_event_An(batch: TrajectoryBatch, event: dict, w: WeightSequence,
-                      level: float = 0.99) -> MonteCarloEstimate:
-    """Estimate P(phi(T_k) <= chi(b_k) for all k <= n) over ``batch``."""
-    return binomial_estimate(_rows_inside(batch, event, w, "A_n"), batch.replications,
-                             level, event)
+                      level: float = 0.99, counter: RowCounter | None = None) -> MonteCarloEstimate:
+    """Estimate P(phi(T_k) <= chi(b_k) for all k <= n) over ``batch``.
+
+    Pass the ``counter`` of ``event`` when it has taken the batch in a shared pass.
+    """
+    return binomial_estimate(_count(batch, event, w, "A_n", counter),
+                             batch.replications, level, event)
 
 
 def estimate_max_event(batch: TrajectoryBatch, event: dict, w: WeightSequence,
-                       level: float = 0.99) -> MonteCarloEstimate:
-    """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon) over ``batch``."""
+                       level: float = 0.99, counter: RowCounter | None = None) -> MonteCarloEstimate:
+    """Estimate P(max_{m<=k<=n} (|S_k| or S_k)/b_k exceeds epsilon) over ``batch``.
+
+    Pass the ``counter`` of ``event`` when it has taken the batch in a shared pass.
+    """
     reps = batch.replications
-    return binomial_estimate(reps - _rows_inside(batch, event, w, "max_ratio"), reps,
+    return binomial_estimate(reps - _count(batch, event, w, "max_ratio", counter), reps,
                              level, event)
 
 
@@ -247,7 +288,7 @@ def enumerate_exact(spec: RandomSequenceSpec, event: dict, w: WeightSequence) ->
     if spec.family == "point_mass":
         c = spec.param_dict()["c"]
         path = np.cumsum(np.full((1, n), max(c, 0.0) if process == "u" else c), axis=1)
-        stay = Fraction(_inside(allowed, path))
+        stay = Fraction(_inside(allowed, np.arange(1, n + 1), path))
     else:
         down = -1 if process == "S" else 0
         # cur[j]: count of paths with j up steps after the last step, in the region
@@ -377,27 +418,16 @@ class DemiCheckReport:
         }
 
 
-def _process_matrix(batch: TrajectoryBatch, process: str,
-                    phi: ShapeFunction | None) -> np.ndarray:
-    if process == "S":
-        return batch.s
-    if process == "u":
-        return batch.u
-    if process == "v":
-        return batch.v
-    if process == "phi_of_S_plus":
-        if phi is None:
-            raise ValidationError("process phi_of_S_plus needs a shape function")
-        return phi(np.maximum(batch.s, 0.0))
-    raise ValidationError(f"unknown process {process!r}")
-
-
 def check_demi_size(replications: int, n: int) -> None:
-    """Refuse a demi check of fewer than 1000 rows or 2 steps, before any are drawn."""
+    """Refuse a demi check of fewer than 1000 rows or 2 steps, or of more than
+    ``_DEMI_MAX_ENTRIES`` entries, before any are drawn."""
     if replications < 1000:
         raise ValidationError("demi check needs >= 1000 replications")
     if n < 2:
         raise ValidationError("need at least two indices to form a margin")
+    if replications * n > _DEMI_MAX_ENTRIES:
+        raise ValidationError(f"demi check of {replications} x {n} entries exceeds "
+                              f"its budget of 2^25 = {_DEMI_MAX_ENTRIES}")
 
 
 def demi_check(batch: TrajectoryBatch, process: str = "S",
@@ -420,20 +450,27 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     check_demi_size(batch.replications, batch.n)
     if not 0.0 < level < 1.0:
         raise ParameterDomainError("level", "must be in (0, 1)")
+    if process not in DEMI_PROCESSES:
+        raise ValidationError(f"unknown process {process!r}")
+    if process == "phi_of_S_plus" and phi is None:
+        raise ValidationError("process phi_of_S_plus needs a shape function")
 
-    T = _process_matrix(batch, process, phi)
-    R, n = T.shape
-    c = float(np.quantile(np.abs(T), 0.999))
+    R, n = batch.replications, batch.n
+    # Step j is row j - 1 of the contiguous (n, R) matrix Tt, filled block by
+    # block, so every reduction runs along a contiguous row, as the 1-d
+    # reduction of one column would, and gives the same bits.
+    Tt = np.empty((n, R))
+    for block in batch.blocks():
+        T = phi(np.maximum(block.s, 0.0)) if process == "phi_of_S_plus" else _walk(block, process)
+        Tt[:, block.first:block.first + len(T)] = T.T
+    c = float(np.quantile(np.abs(Tt), 0.999, overwrite_input=True))
     n_tests = (n - 1) * len(family)
     z = _normal_quantile(1.0 - (1.0 - level) / n_tests)
 
-    # Step j is row j - 1 of the contiguous (n, R) transpose, so every
-    # reduction runs along a contiguous row, as the 1-d reduction of one
-    # column would, and gives the same bits.
-    Tt = np.ascontiguousarray(T.T)
     diff = Tt[1:] - Tt[:-1]   # row j - 1: T_{j+1} - T_j
     cols = Tt[:-1]
     prod = np.empty_like(diff)
+    g = np.empty_like(diff)
     quartiles = {}
     if "indicator_q25" in family or "indicator_q75" in family:
         # one partition gives both indicator thresholds of every step
@@ -445,13 +482,13 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
             p = diff   # diff * 1 is diff
         else:
             if name == "coordinate":
-                g = np.clip(cols, -c, c)
+                np.clip(cols, -c, c, out=g)
                 g += c
             elif name == "running_max":
-                g = np.clip(np.maximum.accumulate(cols, axis=0), -c, c)
+                np.clip(np.maximum.accumulate(cols, axis=0, out=g), -c, c, out=g)
                 g += c
             else:
-                g = (cols > quartiles[name][:, None]).astype(np.float64)
+                np.greater(cols, quartiles[name][:, None], out=g)
             p = np.multiply(diff, g, out=prod)
         margins[name] = (p.mean(axis=1).tolist(),
                          (p.std(axis=1, ddof=1) / math.sqrt(R)).tolist(),
@@ -571,7 +608,8 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
                     np.maximum(out[rows, i], ratio[:, lo - a:hi - a].max(axis=1),
                                out=out[rows, i])
 
-    for_each_block(spec.with_n(n), reps, seed, threads, run)
+    for _ in for_each_block(spec.with_n(n), reps, seed, threads, run):
+        pass
 
     return SLLNTrajectoryReport(
         checkpoints=cps,

@@ -57,6 +57,11 @@ def u_profile(us) -> MomentProfile:
     return MomentProfile(us, (0.0,) * len(us))
 
 
+def walks(batch: TrajectoryBatch, name: str) -> np.ndarray:
+    """The one-sided walk ``name`` ("u" or "v") of every row of batch, in row order."""
+    return np.vstack([getattr(block, name) for block in batch.blocks()])
+
+
 def standard_errors(phi: ShapeFunction, paths: np.ndarray) -> np.ndarray:
     """Per-k standard error of the mean of phi over the rows of ``paths``."""
     return phi(paths).std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
@@ -274,13 +279,13 @@ class TestMomentProfiles:
     def test_rademacher_estimated_linear_growth(self):
         """E[u_k] = k/2 for sign increments; 1e5 replications, 4 se."""
         batch = TrajectoryBatch.generate(RandomSequenceSpec("rademacher", 3), 100_000, 0)
-        mp, se = estimate_moment_profile(batch, PHI1), standard_errors(PHI1, batch.u)
+        mp, se = estimate_moment_profile(batch, PHI1), standard_errors(PHI1, walks(batch, "u"))
         for k in range(3):
             assert abs(mp.e_phi_u[k] - 0.5 * (k + 1)) <= 4 * se[k]
 
     def test_gaussian_half_normal_first_entry(self):
         batch = TrajectoryBatch.generate(GAUSS(1), 100_000, 1)
-        mp, se = estimate_moment_profile(batch, PHI1), standard_errors(PHI1, batch.u)
+        mp, se = estimate_moment_profile(batch, PHI1), standard_errors(PHI1, walks(batch, "u"))
         assert abs(mp.e_phi_u[0] - 1.0 / math.sqrt(2 * math.pi)) <= 4 * se[0]
 
     @pytest.mark.parametrize("family,params,nu,seed", [
@@ -294,7 +299,7 @@ class TestMomentProfiles:
         a = analytic_moment_profile(spec, phi)
         batch = TrajectoryBatch.generate(spec, 20_000, seed)
         e = estimate_moment_profile(batch, phi)
-        noise_u, noise_v = standard_errors(phi, batch.u), standard_errors(phi, batch.v)
+        noise_u, noise_v = (standard_errors(phi, walks(batch, w)) for w in ("u", "v"))
         for k in range(6):
             assert abs(a.e_phi_u[k] - e.e_phi_u[k]) <= 4 * noise_u[k]
             assert abs(a.e_phi_v[k] - e.e_phi_v[k]) <= 4 * noise_v[k]

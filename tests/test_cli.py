@@ -1,6 +1,7 @@
 """Command line contract: configs, exit codes, file outputs, reproducibility."""
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -196,15 +197,14 @@ MUTABLE_BASE = {
     "checkpoints": [10, 20],
     "series": {"alpha": 1.0, "r": 1.0},
 }
-PATHS = [("scenario",), ("sequence",), ("sequence", "family"), ("sequence", "n"),
-         ("sequence", "params"), ("sequence", "params", "mu"), ("sequence", "params", "sigma"),
-         ("sequence", "params", "lam"), ("sequence", "params", "c"), ("sequence", "dependence"),
-         ("shape",), ("shape", "kind"), ("shape", "exponent"), ("scale",), ("scale", "epsilon"),
-         ("scale", "rho"), ("weights",), ("weights", "kind"), ("weights", "beta"),
-         ("weights", "values"), ("n",), ("replications",), ("master_seed",), ("epsilon",),
-         ("m",), ("sided",), ("kinds",), ("profile",), ("checkpoints",), ("series",),
-         ("series", "alpha"), ("series", "r"), ("series", "c"), ("process",), ("family",),
-         ("level",), ("event",), ("out_dir",)]
+# every top-level key of the config, and the keys inside its nested objects
+PATHS = [(f.name,) for f in dataclasses.fields(ExperimentConfig)] + [
+    ("sequence", "family"), ("sequence", "n"), ("sequence", "params"),
+    ("sequence", "params", "mu"), ("sequence", "params", "sigma"),
+    ("sequence", "params", "lam"), ("sequence", "params", "c"), ("sequence", "dependence"),
+    ("shape", "kind"), ("shape", "exponent"), ("scale", "epsilon"), ("scale", "rho"),
+    ("weights", "kind"), ("weights", "beta"), ("weights", "values"),
+    ("series", "alpha"), ("series", "r"), ("series", "c")]
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(min_value=-2, max_value=40),
     st.just(10 ** 400),
@@ -236,6 +236,9 @@ def _mutated(mutations):
 @given(command=st.sampled_from(sorted(cli._DISPATCH)),
        mutations=st.lists(st.tuples(st.sampled_from(PATHS), VALUES, st.booleans()),
                           min_size=1, max_size=3))
+# a demi check of 2^20 x 40 entries, above its budget: refused before drawing, exit 1
+@example(command="check-demi", mutations=[(("replications",), 2 ** 20, False),
+                                          (("sequence", "n"), 40, False)])
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_configs_end_in_an_exit_code(monkeypatch, capsys, command, mutations):
@@ -916,8 +919,11 @@ DEMI_REPS = "demi check needs >= 1000 replications"
     ("check-demi", dict(BASE, replications=999), DEMI_REPS),
     ("check-demi", dict(BASE, sequence=dict(GAUSS_SEQ, n=1)),
      "need at least two indices to form a margin"),
+    # the shape of the CI config "render-three-chunks": 2 x 10^8 entries
+    ("check-demi", dict(BASE, sequence=dict(GAUSS_SEQ, n=20_000), replications=10_000),
+     "demi check of 10000 x 20000 entries exceeds its budget of 2^25 = 33554432"),
 ], ids=["verify-preset", "check-demi-preset", "verify-estimated", "check-demi-999",
-        "check-demi-n1"])
+        "check-demi-n1", "check-demi-budget"])
 def test_refused_before_drawing(tmp_path, monkeypatch, capsys, command, source, message):
     generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
     config = (["--scenario", source] if isinstance(source, str)
@@ -927,22 +933,24 @@ def test_refused_before_drawing(tmp_path, monkeypatch, capsys, command, source, 
     assert json.loads(capsys.readouterr().out) == {"error": "ValidationError",
                                                    "message": message}
     assert generated == []
+    assert {p.name for p in tmp_path.iterdir()} <= {"config.json"}  # no report written
 
 
 # ---------------------------------------------------------------------------
 # check-demi command
 
 
-def kept_batches(monkeypatch):
-    """Replace TrajectoryBatch.generate by a wrapper that keeps each batch it makes."""
+def kept_blocks(monkeypatch):
+    """Make every batch keep a list of the blocks it yields; return that list."""
     made = []
-    real = TrajectoryBatch.generate
+    real = TrajectoryBatch.blocks
 
-    def keeping(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
+    def keeping(batch):
+        for block in real(batch):
+            made.append(block)
+            yield block
 
-    monkeypatch.setattr(TrajectoryBatch, "generate", staticmethod(keeping))
+    monkeypatch.setattr(TrajectoryBatch, "blocks", keeping)
     return made
 
 
@@ -952,11 +960,27 @@ def kept_batches(monkeypatch):
 ], ids=["check-demi-S", "verify-classic"])
 def test_commands_that_read_only_s_leave_the_one_sided_walks_unbuilt(
         tmp_path, monkeypatch, command, cfg):
-    made = kept_batches(monkeypatch)
+    made = kept_blocks(monkeypatch)
     assert run([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)],
                monkeypatch, tmp_path) == 0
-    assert len(made) == 1
-    assert "u" not in vars(made[0]) and "v" not in vars(made[0])
+    assert len(made) == 4  # 2000 rows of n = 16, 512 a block
+    assert all("u" not in vars(b) and "v" not in vars(b) for b in made)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_long_verify_holds_no_batch_sized_matrix(tmp_path, monkeypatch, threads):
+    """One R x n float64 matrix of this verify is 320 MB; it runs in a few blocks' memory."""
+    cfg = dict(BASE, sequence=dict(GAUSS_SEQ, n=20_000), replications=2000, epsilon=2.0,
+               kinds=["theorem1", "rao", "amini"])
+    argv = ["verify", "--config", write_config(tmp_path, cfg), "--threads", str(threads),
+            "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert run(argv, monkeypatch, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_check_demi_exit_codes(tmp_path, monkeypatch):

@@ -270,7 +270,8 @@ def test_draw_chunks_are_the_whole_draw(law, n, monkeypatch):
     """Chunks concatenate to sample_iid and to one whole draw, bit for bit.
 
     A block is seeded once however many chunks it is read in, and
-    for_each_block hands each block's chunks on, the last block cut short.
+    for_each_block yields what its reader makes of each block's chunks, in
+    block order, the last block cut short.
     """
     spec = law.with_n(n)
     m = block_rows(n)
@@ -289,9 +290,8 @@ def test_draw_chunks_are_the_whole_draw(law, n, monkeypatch):
 
     seeded.clear()
     reps = 2 * m + (m > 1)   # with several rows per block, the last is cut to one
-    got = {}
-    for_each_block(spec, reps, 5, 1, lambda first, pieces: got.update(
-        {first: np.concatenate(list(pieces))}))
+    got = dict(for_each_block(spec, reps, 5, 1, lambda first, pieces: (
+        first, np.concatenate(list(pieces)))))
     blocks = -(-reps // m)
     assert sorted(got) == [b * m for b in range(blocks)]
     assert seeded == [SeedSpec(5, b) for b in range(blocks)]

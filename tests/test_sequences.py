@@ -1,5 +1,6 @@
 """Partial sums, the positive/negative-part split, and batch generation."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hrbounds.sequences import (
     TrajectoryBatch,
     block_rows,
     compensated_cumsum,
+    for_each_block,
     decompose,
     partial_sums,
     prefix_sum_chunks,
@@ -170,15 +172,23 @@ FAMILY_SPECS = [
 ]
 
 
+def rows_of(batch, name):
+    """The ``name`` array ("x", "s", "u" or "v") of every block of batch, stacked in row order."""
+    return np.vstack([getattr(block, name) for block in batch.blocks()])
+
+
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.family)
 def test_batch_rows_come_from_whole_blocks(spec):
     m = block_rows(spec.n)
     assert m == 512
     reps = 2 * m + 77  # the last block is cut short
     batch = TrajectoryBatch.generate(spec, reps, master_seed=42)
+    assert [(b.first, b.x.shape) for b in batch.blocks()] == [
+        (0, (m, 16)), (m, (m, 16)), (2 * m, (77, 16))]
+    x = rows_of(batch, "x")
     blocks = [sample_iid(spec, SeedSpec(42, b), rows=m) for b in range(3)]
     for r in range(reps):
-        np.testing.assert_array_equal(batch.x[r], blocks[r // m][r % m])
+        np.testing.assert_array_equal(x[r], blocks[r // m][r % m])
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.family)
@@ -200,7 +210,7 @@ def test_batch_is_a_prefix_of_a_larger_one(spec, rows, more, seed):
     small = TrajectoryBatch.generate(spec, rows, master_seed=seed)
     large = TrajectoryBatch.generate(spec, more, master_seed=seed)
     for name in ("x", "s", "u", "v"):
-        np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:rows])
+        np.testing.assert_array_equal(rows_of(small, name), rows_of(large, name)[:rows])
 
 
 def test_batch_thread_count_does_not_change_values():
@@ -210,21 +220,40 @@ def test_batch_thread_count_does_not_change_values():
     a = TrajectoryBatch.generate(spec, reps, master_seed=9, threads=1)
     for threads in (2, 4):
         b = TrajectoryBatch.generate(spec, reps, master_seed=9, threads=threads)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.s, b.s)
+        np.testing.assert_array_equal(rows_of(a, "x"), rows_of(b, "x"))
+        np.testing.assert_array_equal(rows_of(a, "s"), rows_of(b, "s"))
 
 
 def test_long_batch_rows_are_compensated_row_sums():
     """Above n = 10**4 every row of s, u and v is its own compensated sum."""
     spec = RandomSequenceSpec.alpha_stable(10_001, alpha=1.2, beta=0.5)
     batch = TrajectoryBatch.generate(spec, 3, master_seed=2, threads=2)
+    rows = {name: rows_of(batch, name) for name in ("x", "s", "u", "v")}
     for r in range(3):
         x = sample_iid(spec, SeedSpec(2, r))
-        np.testing.assert_array_equal(batch.x[r], x)
-        for got, part in ((batch.s, x), (batch.u, np.maximum(x, 0.0)),
-                          (batch.v, np.maximum(-x, 0.0))):
+        np.testing.assert_array_equal(rows["x"][r], x)
+        for got, part in ((rows["s"], x), (rows["u"], np.maximum(x, 0.0)),
+                          (rows["v"], np.maximum(-x, 0.0))):
             want = _twosum_loop_reference(part)
             np.testing.assert_array_equal(got[r].view(np.uint64), want.view(np.uint64))
+
+
+def test_for_each_block_draws_at_most_two_blocks_a_thread_ahead_of_a_slow_reader():
+    spec = RandomSequenceSpec.gaussian(4097)   # one row a block: 40 blocks
+    started = []
+
+    def take(first, pieces):
+        started.append(first)
+        return first, np.concatenate(list(pieces))
+
+    read, ahead = [], []
+    for first, x in for_each_block(spec, 40, 3, 2, take):
+        ahead.append(len(started) - len(read) - 1)   # blocks begun beyond this one
+        read.append(first)
+        np.testing.assert_array_equal(x, sample_iid(spec, SeedSpec(3, first)))
+        time.sleep(0.002)
+    assert read == list(range(40))
+    assert max(ahead) <= 4
 
 
 def test_batch_requires_positive_replications():

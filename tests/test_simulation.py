@@ -43,6 +43,25 @@ from hrbounds.simulation import (
 PHI1 = ShapeFunction.abs_power(1.0)
 
 
+def rows_of(batch, name):
+    """The ``name`` array ("x", "s", "u" or "v") of every block of batch, stacked in row order."""
+    return np.vstack([getattr(block, name) for block in batch.blocks()])
+
+
+def kept_blocks(monkeypatch):
+    """Make every batch keep a list of the blocks it yields; return that list."""
+    made = []
+    real = TrajectoryBatch.blocks
+
+    def keeping(batch):
+        for block in real(batch):
+            made.append(block)
+            yield block
+
+    monkeypatch.setattr(TrajectoryBatch, "blocks", keeping)
+    return made
+
+
 def rademacher(n):
     return RandomSequenceSpec("rademacher", n)
 
@@ -181,7 +200,8 @@ def test_estimators_count_the_rows_a_loop_counts(case):
     batch = TrajectoryBatch.generate(spec, reps, case["seed"])
     b = w.materialize(n)
     envelope = chi(b)
-    for process, paths in (("S", batch.s), ("u", batch.u)):
+    walks = {name: rows_of(batch, name) for name in ("s", "u")}
+    for process, paths in (("S", walks["s"]), ("u", walks["u"])):
         inside = 0
         for row in paths:
             values = phi(row)
@@ -191,7 +211,7 @@ def test_estimators_count_the_rows_a_loop_counts(case):
         assert est.event["process"] == process
     for sided, m in zip(("abs", "upper"), case["ms"]):
         hits = 0
-        for row in batch.s:
+        for row in walks["s"]:
             ratios = [(abs(row[k]) if sided == "abs" else row[k]) / b[k] for k in range(m - 1, n)]
             hits += any(r >= eps if sided == "abs" else r > eps for r in ratios)
         est = max_estimate(batch, w, eps, m, sided)
@@ -547,9 +567,9 @@ def test_demi_transformed_process_closure():
 
 def _demi_reference(batch, process, family, level, phi):
     """Margins one (j, g) pair at a time, each from its own columns."""
-    T = {"S": batch.s, "u": batch.u, "v": batch.v}.get(process)
-    if T is None:
-        T = phi(np.maximum(batch.s, 0.0))
+    T = rows_of(batch, "s" if process in ("S", "phi_of_S_plus") else process)
+    if process == "phi_of_S_plus":
+        T = phi(np.maximum(T, 0.0))
     R, n = T.shape
     c = float(np.quantile(np.abs(T), 0.999))
     running_max = np.maximum.accumulate(T, axis=1)
@@ -606,13 +626,16 @@ def test_demi_margins_equal_the_per_pair_loop_bit_for_bit(case):
                                       np.array(w_rec[2:4]).view(np.uint64))
 
 
-def test_demi_check_on_s_leaves_the_one_sided_walks_unbuilt():
+def test_demi_check_on_s_leaves_the_one_sided_walks_unbuilt(monkeypatch):
+    made = kept_blocks(monkeypatch)
     batch = TrajectoryBatch.generate(gaussian(6), 2000, master_seed=5)
     demi_check(batch, "S")
     demi_check(batch, "phi_of_S_plus", phi=PHI1)
-    assert "u" not in vars(batch) and "v" not in vars(batch)
+    assert len(made) == 2 * 2  # 2000 rows of n = 6 are two blocks
+    assert all("u" not in vars(b) and "v" not in vars(b) for b in made)
+    made.clear()
     demi_check(batch, "u")
-    assert "u" in vars(batch) and "v" not in vars(batch)
+    assert made and all("u" in vars(b) and "v" not in vars(b) for b in made)
 
 
 def test_demi_validation():
