@@ -232,8 +232,7 @@ def _increment_sigma_ex2(spec: RandomSequenceSpec) -> tuple[float | None, float 
 
 @_in_float_range
 @np.errstate(over="ignore")  # an entry that overflows is refused by name below
-def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
-                            n: int | None = None) -> MomentProfile:
+def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction) -> MomentProfile:
     """Closed-form E[phi(u_k)], E[phi(v_k)] for the shipped law/shape table.
 
     Covers exponents 1 and 2 for every family with the needed moments
@@ -242,10 +241,7 @@ def analytic_moment_profile(spec: RandomSequenceSpec, phi: ShapeFunction,
     a moment that is analytically infinite raises NonIntegrabilityError;
     combinations outside the table raise AnalyticProfileUnavailable.
     """
-    n = int(spec.n if n is None else n)
-    if n < 1:
-        raise ParameterDomainError("n", "must be >= 1")
-    k = np.arange(1, n + 1, dtype=np.float64)
+    k = np.arange(1, int(spec.n) + 1, dtype=np.float64)
 
     if spec.family == "point_mass":
         c = spec.param_dict()["c"]
@@ -347,6 +343,12 @@ class PhiSums:
         return [(total / reps, first / half) for total, first in zip(self.sums, self.halves)]
 
 
+def check_profile_reps(reps: int) -> None:
+    """Refuse a moment profile from fewer than 100 rows (`bound` and `verify` check before drawing)."""
+    if reps < 100:
+        raise ValidationError("moment estimation needs >= 100 replications")
+
+
 def estimate_moment_profile(batch: TrajectoryBatch, phi: ShapeFunction,
                             sums: PhiSums | None = None) -> MomentProfile:
     """Monte Carlo moment profile of ``batch``'s law, with isotonic projection and drift check.
@@ -357,8 +359,7 @@ def estimate_moment_profile(batch: TrajectoryBatch, phi: ShapeFunction,
     evaluators then refuse it.  Pass ``sums`` when they have taken the batch
     in a shared pass.
     """
-    if batch.replications < 100:
-        raise ValidationError("moment estimation needs >= 100 replications")
+    check_profile_reps(batch.replications)
     if sums is None:
         sums = PhiSums(phi, batch.replications)
         batch.fold(sums)
@@ -485,7 +486,11 @@ def _fsum(a: np.ndarray) -> float:
 
 def _report(kind: str, terms: np.ndarray, event: dict, *checked: str) -> BoundReport:
     """The report of ``kind``: raw is 1 - sum(terms) for a lower bound, sum(terms)
-    for an upper one; ``checked`` names the hypotheses that held."""
+    for an upper one; ``checked`` names the hypotheses that held.  A term that
+    left the float range is refused here, by the kind and its first k."""
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size:
+        raise ValidationError(f"non-finite {kind} term at k={int(bad[0]) + 1}")
     s = _fsum(terms)
     lower = kind.endswith("_lower")
     raw = 1.0 - s if lower else s
@@ -526,7 +531,9 @@ def bound_theorem1(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
     if bad.size:
         raise HypothesisViolationError(
             "decreasing combined moment sequence", failing_indices=[int(i) + 1 for i in bad])
-    terms = 2.0 * subadditivity_constant(phi).K * inc / chi(w.materialize(mp.n))
+    chib = chi(w.materialize(mp.n))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused by _report
+        terms = 2.0 * subadditivity_constant(phi).K * inc / chib
     return _report("theorem1_lower", terms, event_a_n(mp.source, phi, chi, w, mp.n),
                    "well_defined", "moments_nondecreasing")
 
@@ -540,7 +547,9 @@ def bound_rao(phi: ShapeFunction, chi: ScaleFunction, w: WeightSequence,
     nonnegative and nondecreasing; a flagged profile is refused.
     """
     inc = np.diff(_integrable(mp).e_phi_u, prepend=0.0)
-    terms = inc / chi(w.materialize(mp.n))
+    chib = chi(w.materialize(mp.n))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused by _report
+        terms = inc / chib
     return _report("rao_lower", terms, event_a_n(mp.source, phi, chi, w, mp.n, process="u"),
                    "moments_nondecreasing")
 
@@ -577,8 +586,9 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
     e = _upper_input(ex2, "ex2", n, epsilon)
     b = w.materialize(n)
     terms = np.empty(n, dtype=np.float64)
-    terms[:m] = e[:m] / (epsilon ** 2 * b[m - 1] ** 2)
-    terms[m:] = e[m:] / (epsilon ** 2 * b[m:] ** 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused by _report
+        terms[:m] = e[:m] / (epsilon ** 2 * b[m - 1] ** 2)
+        terms[m:] = e[m:] / (epsilon ** 2 * b[m:] ** 2)
     return _report("hajek_renyi_upper", terms, event, "second_moments_finite")
 
 
@@ -594,8 +604,9 @@ def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,
         raise ParameterDomainError("n", "must be >= 1")
     s = _upper_input(sigma, "sigma", n, epsilon)
     b = w.materialize(n)
-    head = np.concatenate([[0.0], np.cumsum(s)[:-1]])  # sigma_1 + .. + sigma_{k-1}
-    terms = (8.0 / epsilon ** 2) * s ** 2 / b ** 2 + 2.0 * s * head / b ** 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused by _report
+        head = np.concatenate([[0.0], np.cumsum(s)[:-1]])  # sigma_1 + .. + sigma_{k-1}
+        terms = (8.0 / epsilon ** 2) * s ** 2 / b ** 2 + 2.0 * s * head / b ** 2
     return _report("amini_upper", terms, event_max_ratio(source, w, 1, n, epsilon, "abs"),
                    "sigma_nonnegative")
 

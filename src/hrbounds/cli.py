@@ -8,8 +8,12 @@ byte-identical files.
 
 Exit codes: 0 success (including vacuous bounds), 1 invalid input (a
 malformed config field, or numbers out of the float range) or a
-hypothesis/integrability error (with a machine-readable error JSON on
-stdout), 2 a verification violation or demi-check flags.
+hypothesis/integrability error, 2 a verification violation or demi-check
+flags.  Exit 1 prints only a machine-readable error JSON on stdout and
+writes no file: every command computes all it reports before it writes.
+`bound` and `verify` check every kind (its event, epsilon, m, the law's
+moments, and the moment profile's closed form or row count) before any row
+is drawn.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,6 @@ import numpy as np
 from . import __version__
 from ._digest import digest_of, event_a_n, event_max_ratio
 from .bounds import (
-    MomentProfile,
     PhiSums,
     SLLNSeriesSpec,
     _increment_sigma_ex2,
@@ -37,6 +40,7 @@ from .bounds import (
     bound_hajek_renyi_classic,
     bound_rao,
     bound_theorem1,
+    check_profile_reps,
     estimate_moment_profile,
     slln_series_check,
 )
@@ -53,7 +57,6 @@ from .shape_functions import ScaleFunction, ShapeFunction, WeightSequence, relea
 from .simulation import (
     DEFAULT_DEMI_FAMILY,
     DEMI_PROCESSES,
-    MonteCarloEstimate,
     RowCounter,
     check_checkpoints,
     check_demi_size,
@@ -538,71 +541,6 @@ def _write_json(path: Path, payload: dict) -> None:
 # bound/estimate assembly shared by `bound` and `verify`
 
 
-class _Draws:
-    """The one pass over the trajectory batch, and the moment profile, that all kinds share.
-
-    ``batch`` is the only place a command builds a `TrajectoryBatch`, and
-    ``folded`` its one pass: each is made on first use and then kept, so a
-    command draws its ``replications`` rows, in blocks of ``block_rows(n)``
-    rows per ``SeedSpec(master_seed, b)`` stream, at most once, and kinds
-    that need neither (analytic-profile `bound`, `classic`, `amini`) draw
-    nothing.  The pass feeds one `RowCounter` per distinct event in
-    ``events`` and, when a kind reads an estimated profile, its `PhiSums`.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, threads: int, events=()):
-        self.cfg = cfg
-        self.threads = threads
-        self.counters: dict[str, RowCounter] = {}
-        for event in events:
-            digest = digest_of(event)
-            if digest not in self.counters:
-                self.counters[digest] = RowCounter(event, cfg.weights)
-
-    @cached_property
-    def batch(self) -> TrajectoryBatch:
-        cfg = self.cfg
-        return TrajectoryBatch.generate(cfg.sequence, cfg.replications, cfg.master_seed,
-                                        threads=self.threads)
-
-    @cached_property
-    def analytic(self) -> MomentProfile | None:
-        """The closed-form profile; None when the config asks for an estimate or none exists."""
-        cfg = self.cfg
-        if cfg.profile != "estimated":
-            try:
-                return analytic_moment_profile(cfg.sequence, cfg.shape)
-            except AnalyticProfileUnavailable:
-                if cfg.profile == "analytic":
-                    raise
-        return None
-
-    @cached_property
-    def folded(self) -> PhiSums | None:
-        """Fold the batch once into every counter, and into the phi sums when a kind needs them."""
-        cfg = self.cfg
-        sums = None
-        # with profile "analytic" none is estimated: a kind that reads it refuses at its turn
-        if (cfg.profile != "analytic" and any(k in ("theorem1", "rao") for k in cfg.kinds)
-                and self.analytic is None):
-            sums = PhiSums(cfg.shape, cfg.replications)
-        self.batch.fold(*self.counters.values(), *([sums] if sums else []))
-        return sums
-
-    @cached_property
-    def profile(self) -> MomentProfile:
-        if self.analytic is not None:
-            return self.analytic
-        return estimate_moment_profile(self.batch, self.cfg.shape, self.folded)
-
-    def estimate(self, event: dict) -> MonteCarloEstimate:
-        """The Monte Carlo estimate of ``event``, read from its counter after the one pass."""
-        self.folded  # the one pass feeds every counter
-        estimator = estimate_event_An if event["event"] == "A_n" else estimate_max_event
-        return estimator(self.batch, event, self.cfg.weights, self.cfg.level,
-                         self.counters[digest_of(event)])
-
-
 def _event(kind: str, cfg: ExperimentConfig) -> dict:
     """The event the ``kind`` bound of ``cfg`` describes, built from the config alone."""
     law = cfg.sequence.law()
@@ -620,11 +558,8 @@ def _need_epsilon(cfg: ExperimentConfig, kind: str) -> float:
     return cfg.epsilon
 
 
-def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
-    spec = cfg.sequence
-    if kind in ("theorem1", "rao"):
-        bound = bound_theorem1 if kind == "theorem1" else bound_rao
-        return bound(cfg.shape, cfg.scale, cfg.weights, draws.profile)
+def _second_moments(kind: str, spec: RandomSequenceSpec) -> tuple[float, float]:
+    """(sigma, E[X^2]) of one increment for the ``kind`` bound; refused unless finite and centred."""
     sigma, ex2 = _increment_sigma_ex2(spec)  # both None when E[X^2] is infinite
     if sigma is None:
         raise NonIntegrabilityError(
@@ -634,14 +569,64 @@ def _compute_bound(kind: str, cfg: ExperimentConfig, draws: _Draws):
     if mean != 0.0:
         raise HypothesisViolationError(
             f"the {kind} bound needs centred increments, but E[X] = {mean!r} for {spec.family}")
-    if kind == "classic":
-        return bound_hajek_renyi_classic(
-            np.full(cfg.n, ex2), cfg.weights, cfg.m, cfg.n,
-            _need_epsilon(cfg, kind), source=spec.law(), sided=cfg.sided)
-    if kind == "amini":
-        return bound_amini(np.full(cfg.n, sigma), cfg.weights, cfg.n,
-                           _need_epsilon(cfg, kind), source=spec.law())
-    raise ValidationError(f"unknown bound kind {kind!r}")
+    return sigma, ex2
+
+
+def _reports(cfg: ExperimentConfig, threads: int, estimate: bool = False):
+    """Every kind's ``(kind, report, estimate)``; the estimate is None unless ``estimate``.
+
+    Stages, in order, so that a refusal comes before any file is written:
+    (1) every refusal the config alone shows, (2) at most one draw of
+    ``replications`` rows, folded once into one `RowCounter` per distinct
+    event and, when a kind reads an estimated profile, its `PhiSums`,
+    (3) that profile, (4) every report and estimate.  A command that needs
+    neither an estimate nor an estimated profile draws nothing.
+    """
+    spec, kinds = cfg.sequence, cfg.kinds
+    if estimate:
+        check_event_reps(cfg.replications)
+    events = {kind: _event(kind, cfg) for kind in kinds}
+    moments = {kind: _second_moments(kind, spec) for kind in kinds if kind in ("classic", "amini")}
+    reads_profile = "theorem1" in kinds or "rao" in kinds
+    profile = sums = None
+    if reads_profile and cfg.profile != "estimated":
+        try:
+            profile = analytic_moment_profile(spec, cfg.shape)
+        except AnalyticProfileUnavailable:
+            if cfg.profile == "analytic":
+                raise
+    if reads_profile and profile is None:
+        check_profile_reps(cfg.replications)
+        sums = PhiSums(cfg.shape, cfg.replications)
+
+    by_digest = {digest_of(event): event for event in events.values()} if estimate else {}
+    counters = {digest: RowCounter(event, cfg.weights) for digest, event in by_digest.items()}
+    takers = [*counters.values(), *([] if sums is None else [sums])]
+    if takers:
+        batch = TrajectoryBatch.generate(spec, cfg.replications, cfg.master_seed, threads=threads)
+        batch.fold(*takers)
+    if sums is not None:
+        profile = estimate_moment_profile(batch, cfg.shape, sums)
+
+    out = []
+    for kind in kinds:
+        event = events[kind]
+        if kind in ("theorem1", "rao"):
+            bound = bound_theorem1 if kind == "theorem1" else bound_rao
+            report = bound(cfg.shape, cfg.scale, cfg.weights, profile)
+        elif kind == "classic":
+            report = bound_hajek_renyi_classic(
+                np.full(cfg.n, moments[kind][1]), cfg.weights, cfg.m, cfg.n, cfg.epsilon,
+                source=spec.law(), sided=cfg.sided)
+        else:
+            report = bound_amini(np.full(cfg.n, moments[kind][0]), cfg.weights, cfg.n,
+                                 cfg.epsilon, source=spec.law())
+        mc = None
+        if estimate:
+            estimator = estimate_event_An if event["event"] == "A_n" else estimate_max_event
+            mc = estimator(batch, event, cfg.weights, cfg.level, counters[digest_of(event)])
+        out.append((kind, report, mc))
+    return out
 
 
 def _corrupt(report):
@@ -655,9 +640,7 @@ def _corrupt(report):
 
 
 def cmd_bound(cfg: ExperimentConfig, out: Path, args) -> int:
-    draws = _Draws(cfg, args.threads)
-    for kind in cfg.kinds:
-        report = _compute_bound(kind, cfg, draws)
+    for kind, report, _ in _reports(cfg, args.threads):
         path = out / f"bound_{kind}.json"
         _write_json(path, _envelope(cfg, {"report": report.to_dict()}))
         print(f"{kind}: value={_fmt(report.value)} raw={_fmt(report.raw_value)} "
@@ -666,21 +649,10 @@ def cmd_bound(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
-    check_event_reps(cfg.replications)  # every kind is estimated: refuse before drawing
-    events = {}
-    for kind in cfg.kinds:
-        try:
-            events[kind] = _event(kind, cfg)
-        except (HRBoundsError, IndexError):
-            # _compute_bound refuses this kind at its turn, once the kinds before it are written
-            break
-    code = 0
-    draws = _Draws(cfg, args.threads, events.values())
-    for kind in cfg.kinds:
-        report = _compute_bound(kind, cfg, draws)
+    checked = []
+    for kind, report, estimate in _reports(cfg, args.threads, estimate=True):
         if args.corrupt_bound:
             report = _corrupt(report)
-        estimate = draws.estimate(events[kind])
         verdicts = {"monte_carlo": verify_bound(estimate, report)}
         exact_payload = None
         if enumerable(cfg.sequence):
@@ -689,6 +661,9 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
             exact_payload = {"numerator": exact.numerator,
                              "denominator": exact.denominator,
                              "value": float(exact)}
+        checked.append((kind, report, estimate, exact_payload, verdicts))
+    code = 0
+    for kind, report, estimate, exact_payload, verdicts in checked:
         path = out / f"verify_{kind}.json"
         _write_json(path, _envelope(cfg, {
             "report": report.to_dict(),
@@ -706,8 +681,9 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_check_demi(cfg: ExperimentConfig, out: Path, args) -> int:
     check_demi_size(cfg.replications, cfg.n)
-    report = demi_check(_Draws(cfg, args.threads).batch, cfg.process, cfg.family, cfg.level,
-                        phi=cfg.shape)
+    batch = TrajectoryBatch.generate(cfg.sequence, cfg.replications, cfg.master_seed,
+                                     threads=args.threads)
+    report = demi_check(batch, cfg.process, cfg.family, cfg.level, phi=cfg.shape)
     path = out / "check_demi.json"
     _write_json(path, _envelope(cfg, {"report": report.to_dict()}))
     print(f"process={report.process} pairs={len(report.records)} "
@@ -731,10 +707,14 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
         checkpoints = tuple(sorted({max(2, cfg.n // 100), max(2, cfg.n // 10), cfg.n}))
     check_checkpoints(checkpoints, cfg.n)
     series = slln_series_check(series_spec, horizon=cfg.n)
-    traj = slln_trajectory(cfg.sequence, cfg.shape, cfg.scale,
-                           cfg.weights, cfg.n, cfg.replications, checkpoints,
-                           cfg.master_seed, args.threads)
-    # both reports are written only once the trajectories are in: a refused run writes nothing
+    traj = slln_trajectory(cfg.sequence, cfg.shape, cfg.scale, cfg.weights,
+                           cfg.replications, checkpoints, cfg.master_seed, args.threads)
+    # every CSV cell is formatted, and the series JSON rendered, before either
+    # file is opened: a refused run writes nothing
+    digest = digest_of(cfg.to_dict())
+    rows = [[row["checkpoint"], _fmt(row["median_phi_ratio"]), _fmt(row["q95_phi_ratio"]),
+             _fmt(row["median_abs_ratio"]), _fmt(row["q95_abs_ratio"]), digest, cfg.master_seed]
+            for row in traj.rows()]
     _write_json(out / "slln_series.json",
                 _envelope(cfg, {"series": series.to_dict()}))
     csv_path = out / "slln_checkpoints.csv"
@@ -743,11 +723,7 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
         writer.writerow(["checkpoint", "median_phi_ratio", "q95_phi_ratio",
                          "median_abs_ratio", "q95_abs_ratio",
                          "config_digest", "master_seed"])
-        digest = digest_of(cfg.to_dict())
-        for row in traj.rows():
-            writer.writerow([row["checkpoint"], _fmt(row["median_phi_ratio"]),
-                             _fmt(row["q95_phi_ratio"]), _fmt(row["median_abs_ratio"]),
-                             _fmt(row["q95_abs_ratio"]), digest, cfg.master_seed])
+        writer.writerows(rows)
     print(f"series: verdict={series.verdict} partial_sum={_fmt(series.partial_sum)}")
     print(f"trajectory: final q95 |S_k|/b_k = {_fmt(traj.q95_abs_ratio[-1])} "
           f"at k={traj.checkpoints[-1]} -> {csv_path}")

@@ -556,9 +556,9 @@ def check_checkpoints(checkpoints, n: int) -> tuple[int, ...]:
 
 
 def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
-                    chi: ScaleFunction, w: WeightSequence, n: int | None = None,
-                    reps: int = 200, checkpoints: tuple[int, ...] = (10 ** 3, 10 ** 4, 10 ** 5),
-                    seed: int = 0, threads: int = 1) -> SLLNTrajectoryReport:
+                    chi: ScaleFunction, w: WeightSequence, reps: int = 200,
+                    checkpoints: tuple[int, ...] = (10 ** 3, 10 ** 4, 10 ** 5), seed: int = 0,
+                    threads: int = 1) -> SLLNTrajectoryReport:
     """Per-checkpoint ratio summaries along independent long trajectories.
 
     Replicates are drawn and summarised block by block, and only the
@@ -568,7 +568,7 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
     are computed one chunk at a time.  Memory is a few chunk-sized buffers
     plus the n-length ``b`` and ``chi(b)``, at any n and any number of rows.
     """
-    n = int(spec.n if n is None else n)
+    n = int(spec.n)
     if not w.is_unbounded:
         raise HypothesisViolationError(
             "almost-sure convergence needs unbounded weights; "
@@ -608,7 +608,7 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
                     np.maximum(out[rows, i], ratio[:, lo - a:hi - a].max(axis=1),
                                out=out[rows, i])
 
-    for _ in for_each_block(spec.with_n(n), reps, seed, threads, run):
+    for _ in for_each_block(spec, reps, seed, threads, run):
         pass
 
     return SLLNTrajectoryReport(

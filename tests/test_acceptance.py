@@ -164,7 +164,7 @@ def test_criterion_5_slln_demonstration():
     series = slln_series_check(SLLNSeriesSpec(alpha=1.0, r=1.0, weights=w),
                                horizon=n)
     traj = slln_trajectory(RandomSequenceSpec("alpha_stable", n, STABLE),
-                           PHI1, ScaleFunction.linear(1.0), w, n,
+                           PHI1, ScaleFunction.linear(1.0), w,
                            reps=200, checkpoints=(1000, 10_000, 100_000), seed=3)
     elapsed = time.time() - start
     q95 = traj.q95_abs_ratio

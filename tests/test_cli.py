@@ -5,11 +5,13 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -174,9 +176,8 @@ def test_malformed_config_exits_1_with_json_error(tmp_path, monkeypatch, capsys,
     code = run(["verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)],
                monkeypatch, tmp_path)
     assert code == 1
-    # kinds that succeed before the failing one print their summary line first
-    out = capsys.readouterr().out
-    err = json.loads(out[out.index("{"):])
+    # every kind is checked before any is written, so stdout is the error alone
+    err = json.loads(capsys.readouterr().out)
     assert err["error"] == error and err["message"].startswith(message)
 
 
@@ -239,16 +240,33 @@ def _mutated(mutations):
 # a demi check of 2^20 x 40 entries, above its budget: refused before drawing, exit 1
 @example(command="check-demi", mutations=[(("replications",), 2 ** 20, False),
                                           (("sequence", "n"), 40, False)])
+# slln ratios whose quantiles overflow: refused once the trajectories are in
+@example(command="slln", mutations=[
+    (("sequence",), {"family": "gaussian", "n": 200, "params": {"mu": 0.0, "sigma": 1e307}},
+     False),
+    (("replications",), 20, False), (("checkpoints",), [100, 200], False),
+    (("series",), {"alpha": 1.0, "r": 2.0}, False)])
+# a classic bound whose terms overflow, after a theorem1 bound that holds
+@example(command="verify", mutations=[
+    (("sequence",), {"family": "gaussian", "n": 16, "params": {"mu": 0.0, "sigma": 1e100}},
+     False),
+    (("epsilon",), 1e-150, False), (("kinds",), ["theorem1", "classic"], False)])
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_configs_end_in_an_exit_code(monkeypatch, capsys, command, mutations):
+    """Exit 0, 2, or 1 with the error JSON alone on stdout and no file written."""
     monkeypatch.delenv("HRBOUNDS_OUT", raising=False)
+    capsys.readouterr()  # drop what an earlier example printed
     with tempfile.TemporaryDirectory() as out:
         config = f"{out}/config.json"
         with open(config, "w") as fh:
             json.dump(_mutated(mutations), fh)
-        assert main([command, "--config", config, "--out", out]) in (0, 1, 2)
-    capsys.readouterr()
+        code = main([command, "--config", config, "--out", out])
+        stdout = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert set(json.loads(stdout)) == {"error", "message"}
+            assert os.listdir(out) == ["config.json"]
 
 
 def test_render_json_uses_17_digits_and_rejects_nan():
@@ -474,16 +492,16 @@ def test_strings_render_as_json_dumps(d):
 
 
 def test_non_finite_term_ends_in_the_json_error(tmp_path, monkeypatch, capsys):
-    real = cli._compute_bound
+    real = cli.bound_theorem1
 
-    def with_nan_term(kind, cfg, draws):
-        report = real(kind, cfg, draws)
+    def with_nan_term(*args):
+        report = real(*args)
         return replace(report, terms=np.append(report.terms[:-1], math.nan))
 
-    monkeypatch.setattr(cli, "_compute_bound", with_nan_term)
+    monkeypatch.setattr(cli, "bound_theorem1", with_nan_term)
     # a short report, then n = 20,000: three chunks of the vectorised renderer
     long_cfg = write_config(tmp_path, {**BASE, "sequence": {**GAUSS_SEQ, "n": 20_000},
-                                       "kinds": ["theorem1", "rao", "amini"]})
+                                       "kinds": ["theorem1", "rao", "amini"], "epsilon": 2.0})
     for source in (["--scenario", "rademacher-oracle"], ["--config", long_cfg]):
         out = tmp_path / source[0].strip("-")
         code = run(["bound", *source, "--out", str(out)], monkeypatch, tmp_path)
@@ -908,32 +926,85 @@ def test_verify_multi_kind_matches_single_kind_runs(tmp_path, monkeypatch):
 
 EVENT_REPS = "event estimation needs >= 1000 replications"
 DEMI_REPS = "demi check needs >= 1000 replications"
+# theorem1 and rao hold, classic is refused: its law is not centred
+NOT_CENTRED = dict(BASE, sequence=dict(GAUSS_SEQ, params={"mu": 0.5, "sigma": 1.0}),
+                   kinds=["theorem1", "rao", "classic"], epsilon=2.0)
+M_PAST_N = dict(BASE, sequence={"family": "rademacher", "n": 16},
+                kinds=["theorem1", "classic"], m=17, epsilon=2.0)
+NO_EPSILON = dict(BASE, kinds=["theorem1", "amini"])
 
 
-@pytest.mark.parametrize("command, source, message", [
+@pytest.mark.parametrize("command, source, error, message", [
     # 200 replications of n = 10^5 would be 2 x 10^7 rows drawn only to be refused
-    ("verify", "stable-first-moment", EVENT_REPS),
-    ("check-demi", "stable-first-moment", DEMI_REPS),
+    ("verify", "stable-first-moment", "ValidationError", EVENT_REPS),
+    ("check-demi", "stable-first-moment", "ValidationError", DEMI_REPS),
     # an estimated profile would draw its batch for the bound before the estimate
-    ("verify", dict(BASE, profile="estimated", replications=999), EVENT_REPS),
-    ("check-demi", dict(BASE, replications=999), DEMI_REPS),
-    ("check-demi", dict(BASE, sequence=dict(GAUSS_SEQ, n=1)),
+    ("verify", dict(BASE, profile="estimated", replications=999), "ValidationError",
+     EVENT_REPS),
+    ("bound", dict(BASE, profile="estimated", replications=99), "ValidationError",
+     "moment estimation needs >= 100 replications"),
+    ("check-demi", dict(BASE, replications=999), "ValidationError", DEMI_REPS),
+    ("check-demi", dict(BASE, sequence=dict(GAUSS_SEQ, n=1)), "ValidationError",
      "need at least two indices to form a margin"),
     # the shape of the CI config "render-three-chunks": 2 x 10^8 entries
     ("check-demi", dict(BASE, sequence=dict(GAUSS_SEQ, n=20_000), replications=10_000),
+     "ValidationError",
      "demi check of 10000 x 20000 entries exceeds its budget of 2^25 = 33554432"),
-], ids=["verify-preset", "check-demi-preset", "verify-estimated", "check-demi-999",
-        "check-demi-n1", "check-demi-budget"])
-def test_refused_before_drawing(tmp_path, monkeypatch, capsys, command, source, message):
+    # a fault of a later kind is refused before the earlier kinds are drawn or written
+    *((command, cfg, error, message) for command in ("bound", "verify")
+      for cfg, error, message in [
+          (NOT_CENTRED, "HypothesisViolationError",
+           "the classic bound needs centred increments, but E[X] = 0.5 for gaussian"),
+          (M_PAST_N, "IndexError", "need 1 <= m <= n, got m=17, n=16"),
+          (NO_EPSILON, "ValidationError", "bound kind 'amini' needs an epsilon in the config"),
+      ]),
+], ids=["verify-preset", "check-demi-preset", "verify-estimated", "bound-estimated-99",
+        "check-demi-999",
+        "check-demi-n1", "check-demi-budget",
+        "bound-not-centred", "bound-m-past-n", "bound-no-epsilon",
+        "verify-not-centred", "verify-m-past-n", "verify-no-epsilon"])
+def test_refused_before_drawing(tmp_path, monkeypatch, capsys, command, source, error,
+                                message):
     generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
     config = (["--scenario", source] if isinstance(source, str)
               else ["--config", write_config(tmp_path, source)])
     code = run([command, *config, "--out", str(tmp_path)], monkeypatch, tmp_path)
     assert code == 1
-    assert json.loads(capsys.readouterr().out) == {"error": "ValidationError",
-                                                   "message": message}
+    assert json.loads(capsys.readouterr().out) == {"error": error, "message": message}
     assert generated == []
     assert {p.name for p in tmp_path.iterdir()} <= {"config.json"}  # no report written
+
+
+def test_drifting_profile_is_refused_after_the_draw_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    """classic holds, and the estimated profile theorem1 reads drifts by 0.22."""
+    generated = count_calls(monkeypatch, TrajectoryBatch, "generate")
+    cfg = dict(BASE, sequence=dict(GAUSS_SEQ, n=12_000), replications=100, master_seed=0,
+               profile="estimated", kinds=["classic", "theorem1"], epsilon=2.0)
+    out = tmp_path / "out"
+    code = run(["bound", "--config", write_config(tmp_path, cfg), "--out", str(out)],
+               monkeypatch, tmp_path)
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "NonIntegrabilityError"
+    assert err["message"].startswith("moment profile failed the running-mean stabilization")
+    assert len(generated) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_overflowing_terms_are_refused_by_kind_and_write_nothing(tmp_path, monkeypatch, capsys):
+    """theorem1 holds; classic's terms E[X^2] / (eps b_k)^2 = 1e200 / 1e-300 overflow."""
+    cfg = dict(BASE, sequence=dict(GAUSS_SEQ, params={"mu": 0.0, "sigma": 1e100}),
+               epsilon=1e-150, kinds=["theorem1", "classic"])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is refused by name, without a warning
+        code = run(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)],
+                   monkeypatch, tmp_path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValidationError", "message": "non-finite hajek_renyi_upper term at k=1"}
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1079,17 +1150,24 @@ def test_slln_checkpoint_past_horizon_writes_nothing(tmp_path, monkeypatch, caps
 
 
 def test_slln_refused_trajectory_writes_nothing(tmp_path, monkeypatch, capsys):
-    # sigma 1e308 overflows the prefix sums, so the trajectories are refused
-    cfg = dict(BASE, sequence={"family": "gaussian", "n": 1000,
-                               "params": {"mu": 0.0, "sigma": 1e308}},
-               n=1000, replications=2, checkpoints=[10, 1000], series={"alpha": 1.0, "r": 2.0})
-    out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        code = run(["slln", "--config", write_config(tmp_path, cfg),
-                    "--out", str(out)], monkeypatch, tmp_path)
-    assert code == 1
-    assert json.loads(capsys.readouterr().out)["error"] == "DataError"
-    assert list(out.iterdir()) == []
+    refused = [
+        # sigma 1e308 overflows the prefix sums, so the trajectories are refused
+        ({"family": "gaussian", "n": 1000, "params": {"mu": 0.0, "sigma": 1e308}}, 2,
+         [10, 1000], "DataError"),
+        # the sums stay finite, but their ratio quantiles overflow: a CSV cell is refused
+        ({"family": "gaussian", "n": 200, "params": {"mu": 0.0, "sigma": 1e307}}, 20,
+         [100, 200], "ValidationError"),
+    ]
+    for i, (sequence, replications, checkpoints, error) in enumerate(refused):
+        cfg = dict(BASE, sequence=sequence, n=sequence["n"], replications=replications,
+                   checkpoints=checkpoints, series={"alpha": 1.0, "r": 2.0})
+        out = tmp_path / f"out{i}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["slln", "--config", write_config(tmp_path, cfg),
+                        "--out", str(out)], monkeypatch, tmp_path)
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == error
+        assert list(out.iterdir()) == []
 
 
 def test_slln_requires_series_block(tmp_path, monkeypatch, capsys):

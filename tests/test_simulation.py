@@ -658,7 +658,7 @@ def test_demi_validation():
 def test_slln_point_mass_all_zero():
     spec = RandomSequenceSpec("point_mass", 500, (("c", 0.0),))
     t = slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0),
-                        WeightSequence.power(1.0, 500), 500, 20, (100, 500), seed=0)
+                        WeightSequence.power(1.0, 500), 20, (100, 500), seed=0)
     assert all(q == 0.0 for q in t.q95_phi_ratio)
     assert all(q == 0.0 for q in t.q95_abs_ratio)
 
@@ -666,8 +666,7 @@ def test_slln_point_mass_all_zero():
 def test_slln_sign_sequence_classic_rate():
     spec = rademacher(10_000)
     t = slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0),
-                        WeightSequence.power(1.0, 10_000), 10_000, 100,
-                        (1000, 10_000), seed=6)
+                        WeightSequence.power(1.0, 10_000), 100, (1000, 10_000), seed=6)
     assert t.q95_abs_ratio[-1] < 0.05
     assert t.q95_abs_ratio[1] < t.q95_abs_ratio[0]
 
@@ -676,20 +675,18 @@ def test_slln_requires_unbounded_weights_and_sane_checkpoints():
     spec = rademacher(100)
     with pytest.raises(HypothesisViolationError):
         slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0),
-                        WeightSequence.custom([1.0] * 100), 100, 10, (50, 100), seed=0)
+                        WeightSequence.custom([1.0] * 100), 10, (50, 100), seed=0)
     w = WeightSequence.power(1.0, 100)
     with pytest.raises(ValidationError):
-        slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0), w, 100, 10,
-                        (80, 40), seed=0)
+        slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0), w, 10, (80, 40), seed=0)
     with pytest.raises(ValidationError):
-        slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0), w, 100, 10,
-                        (50, 200), seed=0)
+        slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0), w, 10, (50, 200), seed=0)
 
 
 def test_slln_deterministic():
     spec = gaussian(2000)
     args = (spec, PHI1, ScaleFunction.linear(1.0), WeightSequence.power(1.0, 2000),
-            2000, 25, (200, 2000))
+            25, (200, 2000))
     a = slln_trajectory(*args, seed=9)
     b = slln_trajectory(*args, seed=9)
     assert a.q95_abs_ratio == b.q95_abs_ratio
@@ -742,7 +739,7 @@ def test_slln_summaries_match_the_whole_row_reference(law, n, threads):
     phi, chi = ShapeFunction.abs_power(1.5), ScaleFunction.power(2.0, 1.3)
     w = WeightSequence.power(0.9, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = slln_trajectory(spec, phi, chi, w, n, reps, cps, seed=11, threads=threads)
+        got = slln_trajectory(spec, phi, chi, w, reps, cps, seed=11, threads=threads)
         want = _slln_reference(spec, phi, chi, w, n, reps, cps, 11)
     summaries = (got.median_phi_ratio, got.q95_phi_ratio,
                  got.median_abs_ratio, got.q95_abs_ratio)
@@ -767,7 +764,7 @@ def test_slln_nonfinite_increment_reports_its_index(monkeypatch):
     for threads in (1, 2):
         with pytest.raises(DataError, match=r"index 8197\)") as err:
             slln_trajectory(gaussian(20_000), PHI1, ScaleFunction.linear(1.0), w,
-                            20_000, 3, (100, 20_000), seed=0, threads=threads)
+                            3, (100, 20_000), seed=0, threads=threads)
         assert err.value.index == 8192 + 5
 
 
@@ -777,5 +774,5 @@ def test_slln_overflowing_increments_raise_at_the_first_one(n, reps):
     w = WeightSequence.power(1.0, n)
     for threads in (1, 2):
         with np.errstate(over="ignore"), pytest.raises(DataError, match=r"index 24\)"):
-            slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0), w, n, reps,
+            slln_trajectory(spec, PHI1, ScaleFunction.linear(1.0), w, reps,
                             (2, n), seed=1, threads=threads)
