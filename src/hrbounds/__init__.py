@@ -59,7 +59,7 @@ from .simulation import (
     verify_bound,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "event_a_n",

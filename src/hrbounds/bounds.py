@@ -292,54 +292,35 @@ def _running_mean_drift(half: np.ndarray, full: np.ndarray) -> float:
     return float(np.max(rel)) if rel.size else 0.0
 
 
-def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray | None:
-    """``total`` plus the rows of ``rows``, one row after another.
-
-    numpy sums an ``(R, n)`` array along axis 0 row after row when n >= 2, so
-    totals taken block by block equal the whole array's ``sum(axis=0)`` bit
-    for bit.
-    """
-    if not len(rows):
-        return total
-    return rows.sum(axis=0) if total is None else np.concatenate((total[None], rows)).sum(axis=0)
-
-
 class PhiSums:
     """Column sums of phi(u) and phi(v) over a batch's rows, taken block by block.
 
-    The sums over all R rows give the means of `estimate_moment_profile`, and
-    the sums over the first R // 2 rows the half-sample means of its drift
-    check; each is the mean of the whole ``(R, n)`` matrix to the bit.  numpy
-    sums a single column (n = 1) pairwise, not row after row, so at n = 1 the
-    values themselves are kept, one float a row, and summed whole.
+    Each block's ``phi(walk).sum(axis=0)`` is added to a running total in
+    block order, and the total over the first R // 2 rows is kept when a
+    block reaches that row; `estimate_moment_profile` reads the means and
+    the half-sample means of its drift check from them.  Blocks are taken in
+    row order on the reading thread, so the sums do not depend on
+    ``threads``.
     """
 
     def __init__(self, phi: ShapeFunction, replications: int):
         self.phi = phi
         self.replications = int(replications)
-        self.sums: list = [None, None]
-        self.halves: list = [None, None]
-        self.columns: list[list[np.ndarray]] = [[], []]
+        self.sums: list = [0.0, 0.0]
+        self.halves: list = [0.0, 0.0]
 
     def take(self, block: RowBlock) -> None:
         cut = self.replications // 2 - block.first   # rows of this block in the first half
         for i, walk in enumerate((block.u, block.v)):
             with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
                 values = self.phi(walk)
-                if values.shape[1] == 1:
-                    self.columns[i].append(values)
-                    continue
                 if 0 <= cut <= len(values):
-                    self.halves[i] = _add_rows(self.sums[i], values[:cut])
-                self.sums[i] = _add_rows(self.sums[i], values)
+                    self.halves[i] = self.sums[i] + values[:cut].sum(axis=0)
+                self.sums[i] = self.sums[i] + values.sum(axis=0)
 
     def means(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(full-sample mean, half-sample mean) of phi(u) and of phi(v)."""
         reps, half = self.replications, self.replications // 2
-        if self.columns[0]:
-            columns = [np.concatenate(c) for c in self.columns]
-            with np.errstate(over="ignore", invalid="ignore"):
-                return [(c.mean(axis=0), c[:half].mean(axis=0)) for c in columns]
         return [(total / reps, first / half) for total, first in zip(self.sums, self.halves)]
 
 
@@ -587,8 +568,9 @@ def bound_hajek_renyi_classic(ex2, w: WeightSequence, m: int, n: int,
     b = w.materialize(n)
     terms = np.empty(n, dtype=np.float64)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused by _report
-        terms[:m] = e[:m] / (epsilon ** 2 * b[m - 1] ** 2)
-        terms[m:] = e[m:] / (epsilon ** 2 * b[m:] ** 2)
+        eps2 = np.float64(epsilon) ** 2
+        terms[:m] = e[:m] / (eps2 * b[m - 1] ** 2)
+        terms[m:] = e[m:] / (eps2 * b[m:] ** 2)
     return _report("hajek_renyi_upper", terms, event, "second_moments_finite")
 
 
@@ -606,7 +588,7 @@ def bound_amini(sigma, w: WeightSequence, n: int, epsilon: float,
     b = w.materialize(n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused by _report
         head = np.concatenate([[0.0], np.cumsum(s)[:-1]])  # sigma_1 + .. + sigma_{k-1}
-        terms = (8.0 / epsilon ** 2) * s ** 2 / b ** 2 + 2.0 * s * head / b ** 2
+        terms = (8.0 / np.float64(epsilon) ** 2) * s ** 2 / b ** 2 + 2.0 * s * head / b ** 2
     return _report("amini_upper", terms, event_max_ratio(source, w, 1, n, epsilon, "abs"),
                    "sigma_nonnegative")
 

@@ -709,8 +709,12 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
     series = slln_series_check(series_spec, horizon=cfg.n)
     traj = slln_trajectory(cfg.sequence, cfg.shape, cfg.scale, cfg.weights,
                            cfg.replications, checkpoints, cfg.master_seed, args.threads)
-    # every CSV cell is formatted, and the series JSON rendered, before either
-    # file is opened: a refused run writes nothing
+    # every CSV cell is checked and formatted, and the series JSON rendered,
+    # before either file is opened: a refused run writes nothing
+    for row in traj.rows():
+        for name, value in row.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite {name} at checkpoint {row['checkpoint']}")
     digest = digest_of(cfg.to_dict())
     rows = [[row["checkpoint"], _fmt(row["median_phi_ratio"]), _fmt(row["q95_phi_ratio"]),
              _fmt(row["median_abs_ratio"]), _fmt(row["q95_abs_ratio"]), digest, cfg.master_seed]

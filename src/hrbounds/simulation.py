@@ -46,8 +46,9 @@ _ENUM_MAX_N = 4096
 DEMI_PROCESSES = ("S", "u", "v", "phi_of_S_plus")
 DEFAULT_DEMI_FAMILY = ("const", "coordinate", "running_max",
                        "indicator_q25", "indicator_q75")
-# Largest R * n of a demi check.  Its (n, R) matrix and the margins' work
-# arrays take about 40 bytes an entry: 1.3 GB at this budget.
+# Largest R * n of a demi check.  Its (n, R) matrix and the copy that the
+# clip constant's quantile partitions take 16 bytes an entry: about 0.5 GB at
+# this budget.
 _DEMI_MAX_ENTRIES = 2 ** 25
 
 
@@ -467,40 +468,30 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     n_tests = (n - 1) * len(family)
     z = _normal_quantile(1.0 - (1.0 - level) / n_tests)
 
-    diff = Tt[1:] - Tt[:-1]   # row j - 1: T_{j+1} - T_j
-    cols = Tt[:-1]
-    prod = np.empty_like(diff)
-    g = np.empty_like(diff)
-    quartiles = {}
-    if "indicator_q25" in family or "indicator_q75" in family:
-        # one partition gives both indicator thresholds of every step
-        quartiles = dict(zip(("indicator_q25", "indicator_q75"),
-                             np.quantile(cols, [0.25, 0.75], axis=1)))
-    margins = {}
-    for name in family:
-        if name == "const":
-            p = diff   # diff * 1 is diff
-        else:
-            if name == "coordinate":
-                np.clip(cols, -c, c, out=g)
-                g += c
-            elif name == "running_max":
-                np.clip(np.maximum.accumulate(cols, axis=0, out=g), -c, c, out=g)
-                g += c
-            else:
-                np.greater(cols, quartiles[name][:, None], out=g)
-            p = np.multiply(diff, g, out=prod)
-        margins[name] = (p.mean(axis=1).tolist(),
-                         (p.std(axis=1, ddof=1) / math.sqrt(R)).tolist(),
-                         np.count_nonzero(p < 0, axis=1).tolist())
-
+    thresholds = "indicator_q25" in family or "indicator_q75" in family
+    running_max = Tt[0].copy()
+    diff, g, prod = np.empty(R), np.empty(R), np.empty(R)
     records = []
     for j in range(1, n):  # margin between T_j and T_{j+1}, 1-based
+        col = Tt[j - 1]
+        np.subtract(Tt[j], col, out=diff)
+        np.maximum(running_max, col, out=running_max)
+        if thresholds:   # one partition gives both indicator thresholds
+            q = dict(zip(("indicator_q25", "indicator_q75"), np.quantile(col, [0.25, 0.75])))
         for name in family:
-            mean, se, neg = (m[j - 1] for m in margins[name])
+            if name == "const":
+                p = diff   # diff * 1 is diff
+            else:
+                if name in ("coordinate", "running_max"):
+                    np.clip(col if name == "coordinate" else running_max, -c, c, out=g)
+                    g += c
+                else:
+                    np.greater(col, q[name], out=g)
+                p = np.multiply(diff, g, out=prod)
+            mean, se = float(p.mean()), float(p.std(ddof=1) / math.sqrt(R))
             flagged = mean < -z * se if se > 0 else mean < 0
-            records.append(MarginRecord(j=j, g=name, margin=mean, se=se,
-                                        flagged=flagged, negative_products=neg))
+            records.append(MarginRecord(j=j, g=name, margin=mean, se=se, flagged=flagged,
+                                        negative_products=int(np.count_nonzero(p < 0))))
     return DemiCheckReport(
         process=process, level=level, replications=R, n=n,
         family=tuple(family), clip_constant=c, records=tuple(records))
@@ -584,6 +575,8 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
     phi_out = np.empty((reps, len(cps)), dtype=np.float64)
     abs_out = np.empty((reps, len(cps)), dtype=np.float64)
 
+    # errstate holds per thread, and ``run`` may run on pool threads
+    @np.errstate(over="ignore", invalid="ignore")
     def run(first: int, pieces: Iterator[np.ndarray]) -> None:
         for row, col, s in prefix_sum_chunks(pieces, n, check_finite=True):
             rows = slice(first + row, first + row + len(s))
@@ -611,10 +604,12 @@ def slln_trajectory(spec: RandomSequenceSpec, phi: ShapeFunction,
     for _ in for_each_block(spec, reps, seed, threads, run):
         pass
 
-    return SLLNTrajectoryReport(
-        checkpoints=cps,
-        median_phi_ratio=tuple(float(x) for x in np.median(phi_out, axis=0)),
-        q95_phi_ratio=tuple(float(x) for x in np.quantile(phi_out, 0.95, axis=0)),
-        median_abs_ratio=tuple(float(x) for x in np.median(abs_out, axis=0)),
-        q95_abs_ratio=tuple(float(x) for x in np.quantile(abs_out, 0.95, axis=0)),
-        replications=int(reps), n=n, master_seed=int(seed))
+    # the slln command refuses a summary that is not finite, by name and checkpoint
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SLLNTrajectoryReport(
+            checkpoints=cps,
+            median_phi_ratio=tuple(float(x) for x in np.median(phi_out, axis=0)),
+            q95_phi_ratio=tuple(float(x) for x in np.quantile(phi_out, 0.95, axis=0)),
+            median_abs_ratio=tuple(float(x) for x in np.median(abs_out, axis=0)),
+            q95_abs_ratio=tuple(float(x) for x in np.quantile(abs_out, 0.95, axis=0)),
+            replications=int(reps), n=n, master_seed=int(seed))

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hrbounds import bounds
 from hrbounds.bounds import (
     MomentProfile,
+    PhiSums,
     _fsum,
     _pava,
     SLLNSeriesSpec,
@@ -329,19 +330,47 @@ class TestMomentProfiles:
         assert all(b >= a - 1e-12 for a, b in zip(mp.e_phi_v, mp.e_phi_v[1:]))
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
+    @example(ys=[0.0, -5e-324])  # the pooled mean -2.5e-324 rounds to -0.0
     @settings(max_examples=200)
     def test_pava_is_a_nondecreasing_projection(self, ys):
         y = np.asarray(ys)
         fit = _pava(y)
         assert fit.shape == y.shape and np.all(np.diff(fit) >= 0)
         np.testing.assert_array_equal(_pava(np.sort(y)), np.sort(y))
-        # pooling moves mass between entries but keeps the total
-        tol = 2.0 * y.size * np.finfo(float).eps * math.fsum(np.abs(y))
+        # pooling moves mass between entries but keeps the total, up to the
+        # rounding of each pooled mean: relative, or at most half the smallest
+        # subnormal an entry
+        tol = 2.0 * y.size * np.finfo(float).eps * math.fsum(np.abs(y)) + y.size * 5e-324
         assert abs(math.fsum(fit) - math.fsum(y)) <= tol
 
     def test_replication_floor(self):
         with pytest.raises(ValidationError, match=">= 100 replications"):
             estimate_moment_profile(TrajectoryBatch.generate(GAUSS(2), 99, 0), PHI1)
+
+    @pytest.mark.parametrize("n, reps", [
+        (1, 1001),        # one block of 1001 single-entry rows
+        (32, 1001),       # row 500, where the half ends, falls inside the second block
+        (12_000, 100),    # one compensated row per block; the half ends between blocks
+    ])
+    def test_phi_sums_add_each_blocks_column_sums_in_block_order(self, n, reps):
+        """Means are the block-order totals of each block's ``sum(axis=0)``, at any thread count."""
+        half = reps // 2
+        total, first = [0.0, 0.0], [0.0, 0.0]
+        for block in TrajectoryBatch.generate(GAUSS(n), reps, 3).blocks():
+            for i, walk in enumerate((block.u, block.v)):
+                values = PHI2(walk)
+                total[i] = total[i] + values.sum(axis=0)
+                first[i] = first[i] + values[:max(half - block.first, 0)].sum(axis=0)
+        want = [(t / reps, f / half) for t, f in zip(total, first)]
+        for threads in (1, 2):
+            sums = PhiSums(PHI2, reps)
+            TrajectoryBatch.generate(GAUSS(n), reps, 3, threads=threads).fold(sums)
+            got = sums.means()
+            for (mean, half_mean), (want_mean, want_half) in zip(got, want):
+                assert mean.shape == half_mean.shape == (n,)
+                np.testing.assert_array_equal(mean.view(np.uint64), want_mean.view(np.uint64))
+                np.testing.assert_array_equal(half_mean.view(np.uint64),
+                                              want_half.view(np.uint64))
 
 
 class TestVectorsAreFrozenArrays:

@@ -1007,6 +1007,29 @@ def test_overflowing_terms_are_refused_by_kind_and_write_nothing(tmp_path, monke
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind, epsilon", [
+    pytest.param("amini", 1e-170, id="amini-1e-170"),     # 8 / eps^2 leaves the float range
+    pytest.param("classic", 1e200, id="classic-1e200"),  # eps^2 overflows: every term is 0
+])
+def test_extreme_epsilon_is_squared_in_float64(tmp_path, monkeypatch, capsys, kind, epsilon):
+    cfg = dict(BASE, epsilon=epsilon, kinds=[kind])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["bound", "--config", write_config(tmp_path, cfg), "--out", str(out)],
+                   monkeypatch, tmp_path)
+    if kind == "amini":
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValidationError", "message": "non-finite amini_upper term at k=1"}
+        assert not out.exists() or list(out.iterdir()) == []
+    else:
+        assert code == 0
+        report = json.loads((out / "bound_classic.json").read_text())["report"]
+        assert report["value"] == report["raw_value"] == 0.0
+        assert report["terms"] == [0.0] * 16
+
+
 # ---------------------------------------------------------------------------
 # check-demi command
 
@@ -1125,6 +1148,25 @@ def test_slln_overflowing_tail_bound_writes_nothing(tmp_path, monkeypatch, capsy
         "error": "ValidationError", "message": "non-finite number in output"}
     assert not (out / "slln_series.json").exists()
     assert not (out / "slln_checkpoints.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_slln_overflowing_summary_is_named_without_a_warning(tmp_path, threads):
+    """Some prefix sums overflow, so the q95 of the phi ratios at checkpoint 100 is inf."""
+    cfg = dict(BASE, sequence={"family": "gaussian", "n": 200,
+                               "params": {"mu": 0.0, "sigma": 1e307}},
+               replications=20, checkpoints=[100, 200], series={"alpha": 1.0, "r": 2.0})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrbounds.cli", "slln", "--config", write_config(tmp_path, cfg),
+         "--threads", str(threads), "--out", str(out)],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ":".join(sys.path)})
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {
+        "error": "ValidationError", "message": "non-finite q95_phi_ratio at checkpoint 100"}
+    assert proc.stderr == ""
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_slln_bounded_weights_rejected(tmp_path, monkeypatch, capsys):

@@ -638,6 +638,20 @@ def test_demi_check_on_s_leaves_the_one_sided_walks_unbuilt(monkeypatch):
     assert made and all("u" in vars(b) and "v" not in vars(b) for b in made)
 
 
+def test_demi_check_holds_about_two_floats_an_entry():
+    """The (n, R) fill and the clip constant's partitioned copy, then one step at a time."""
+    R, n = 10_000, 100
+    batch = TrajectoryBatch.generate(gaussian(n), R, master_seed=2)
+    tracemalloc.start()
+    try:
+        rep = demi_check(batch, "S")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.records) == (n - 1) * len(DEFAULT_DEMI_FAMILY)
+    assert peak <= 20 * R * n
+
+
 def test_demi_validation():
     batch = TrajectoryBatch.generate(gaussian(4), 1000, master_seed=0)
     with pytest.raises(ValidationError):
