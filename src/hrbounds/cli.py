@@ -711,13 +711,14 @@ def cmd_slln(cfg: ExperimentConfig, out: Path, args) -> int:
                            cfg.replications, checkpoints, cfg.master_seed, args.threads)
     # every CSV cell is checked and formatted, and the series JSON rendered,
     # before either file is opened: a refused run writes nothing
-    for row in traj.rows():
-        for name, value in row.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite {name} at checkpoint {row['checkpoint']}")
+    def cell(row: dict, name: str) -> str:
+        if not math.isfinite(row[name]):
+            raise ValidationError(f"non-finite {name} at checkpoint {row['checkpoint']}")
+        return _fmt(row[name])
+
     digest = digest_of(cfg.to_dict())
-    rows = [[row["checkpoint"], _fmt(row["median_phi_ratio"]), _fmt(row["q95_phi_ratio"]),
-             _fmt(row["median_abs_ratio"]), _fmt(row["q95_abs_ratio"]), digest, cfg.master_seed]
+    rows = [[row["checkpoint"], cell(row, "median_phi_ratio"), cell(row, "q95_phi_ratio"),
+             cell(row, "median_abs_ratio"), cell(row, "q95_abs_ratio"), digest, cfg.master_seed]
             for row in traj.rows()]
     _write_json(out / "slln_series.json",
                 _envelope(cfg, {"series": series.to_dict()}))

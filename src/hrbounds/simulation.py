@@ -468,30 +468,42 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     n_tests = (n - 1) * len(family)
     z = _normal_quantile(1.0 - (1.0 - level) / n_tests)
 
-    thresholds = "indicator_q25" in family or "indicator_q75" in family
-    running_max = Tt[0].copy()
-    diff, g, prod = np.empty(R), np.empty(R), np.empty(R)
+    # The margins are reduced a slab of steps at a time, about CHUNK entries,
+    # so neither the work arrays nor the per-call cost of numpy grows with n.
+    slab = max(1, CHUNK // R)
+    top = Tt[0]   # running max of the steps before the slab
     records = []
-    for j in range(1, n):  # margin between T_j and T_{j+1}, 1-based
-        col = Tt[j - 1]
-        np.subtract(Tt[j], col, out=diff)
-        np.maximum(running_max, col, out=running_max)
-        if thresholds:   # one partition gives both indicator thresholds
-            q = dict(zip(("indicator_q25", "indicator_q75"), np.quantile(col, [0.25, 0.75])))
+    for lo in range(0, n - 1, slab):
+        hi = min(lo + slab, n - 1)
+        cols = Tt[lo:hi]   # row i: step j = lo + 1 + i
+        diff = Tt[lo + 1:hi + 1] - cols
+        g, prod = np.empty_like(cols), np.empty_like(cols)
+        if "running_max" in family:
+            peak = np.maximum(np.maximum.accumulate(cols, axis=0), top)
+            top = peak[-1]
+        if "indicator_q25" in family or "indicator_q75" in family:
+            # one partition gives both indicator thresholds of every step
+            quartiles = dict(zip(("indicator_q25", "indicator_q75"),
+                                 np.quantile(cols, [0.25, 0.75], axis=1)))
+        margins = []
         for name in family:
             if name == "const":
                 p = diff   # diff * 1 is diff
             else:
                 if name in ("coordinate", "running_max"):
-                    np.clip(col if name == "coordinate" else running_max, -c, c, out=g)
+                    np.clip(cols if name == "coordinate" else peak, -c, c, out=g)
                     g += c
                 else:
-                    np.greater(col, q[name], out=g)
+                    np.greater(cols, quartiles[name][:, None], out=g)
                 p = np.multiply(diff, g, out=prod)
-            mean, se = float(p.mean()), float(p.std(ddof=1) / math.sqrt(R))
-            flagged = mean < -z * se if se > 0 else mean < 0
-            records.append(MarginRecord(j=j, g=name, margin=mean, se=se, flagged=flagged,
-                                        negative_products=int(np.count_nonzero(p < 0))))
+            margins.append((name, p.mean(axis=1).tolist(),
+                            (p.std(axis=1, ddof=1) / math.sqrt(R)).tolist(),
+                            np.count_nonzero(p < 0, axis=1).tolist()))
+        for i in range(hi - lo):   # margin between T_j and T_{j+1}, 1-based
+            for name, mean, se, neg in margins:
+                flagged = mean[i] < -z * se[i] if se[i] > 0 else mean[i] < 0
+                records.append(MarginRecord(j=lo + 1 + i, g=name, margin=mean[i], se=se[i],
+                                            flagged=flagged, negative_products=neg[i]))
     return DemiCheckReport(
         process=process, level=level, replications=R, n=n,
         family=tuple(family), clip_constant=c, records=tuple(records))

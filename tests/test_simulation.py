@@ -639,7 +639,7 @@ def test_demi_check_on_s_leaves_the_one_sided_walks_unbuilt(monkeypatch):
 
 
 def test_demi_check_holds_about_two_floats_an_entry():
-    """The (n, R) fill and the clip constant's partitioned copy, then one step at a time."""
+    """The (n, R) fill and the clip constant's partitioned copy, then a slab of steps at a time."""
     R, n = 10_000, 100
     batch = TrajectoryBatch.generate(gaussian(n), R, master_seed=2)
     tracemalloc.start()
