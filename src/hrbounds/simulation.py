@@ -50,6 +50,11 @@ DEFAULT_DEMI_FAMILY = ("const", "coordinate", "running_max",
 # clip constant's quantile partitions take 16 bytes an entry: about 0.5 GB at
 # this budget.
 _DEMI_MAX_ENTRIES = 2 ** 25
+# Entries in each of the demi margins' four work arrays (512 KB each): a
+# check of at most this many entries is reduced in one slab of steps, and a
+# longer one pays numpy's per-call cost once a slab, not once a step.  The
+# arrays are made once a call, so glibc reuses their pages between calls.
+_DEMI_SLAB = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +473,18 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
     n_tests = (n - 1) * len(family)
     z = _normal_quantile(1.0 - (1.0 - level) / n_tests)
 
-    # The margins are reduced a slab of steps at a time, about CHUNK entries,
-    # so neither the work arrays nor the per-call cost of numpy grows with n.
-    slab = max(1, CHUNK // R)
-    top = Tt[0]   # running max of the steps before the slab
+    slab = min(n - 1, max(1, _DEMI_SLAB // R))   # steps a slab
+    diffs, gs, prods, peaks = np.empty((4, slab, R))
+    top = Tt[0].copy()   # running max of the steps before the slab
     records = []
     for lo in range(0, n - 1, slab):
-        hi = min(lo + slab, n - 1)
-        cols = Tt[lo:hi]   # row i: step j = lo + 1 + i
-        diff = Tt[lo + 1:hi + 1] - cols
-        g, prod = np.empty_like(cols), np.empty_like(cols)
+        m = min(slab, n - 1 - lo)
+        cols = Tt[lo:lo + m]   # row i: step j = lo + 1 + i
+        diff, g, prod, peak = diffs[:m], gs[:m], prods[:m], peaks[:m]
+        np.subtract(Tt[lo + 1:lo + 1 + m], cols, out=diff)
         if "running_max" in family:
-            peak = np.maximum(np.maximum.accumulate(cols, axis=0), top)
-            top = peak[-1]
+            np.maximum(np.maximum.accumulate(cols, axis=0, out=peak), top, out=peak)
+            top[:] = peak[-1]
         if "indicator_q25" in family or "indicator_q75" in family:
             # one partition gives both indicator thresholds of every step
             quartiles = dict(zip(("indicator_q25", "indicator_q75"),
@@ -499,7 +503,7 @@ def demi_check(batch: TrajectoryBatch, process: str = "S",
             margins.append((name, p.mean(axis=1).tolist(),
                             (p.std(axis=1, ddof=1) / math.sqrt(R)).tolist(),
                             np.count_nonzero(p < 0, axis=1).tolist()))
-        for i in range(hi - lo):   # margin between T_j and T_{j+1}, 1-based
+        for i in range(m):   # margin between T_j and T_{j+1}, 1-based
             for name, mean, se, neg in margins:
                 flagged = mean[i] < -z * se[i] if se[i] > 0 else mean[i] < 0
                 records.append(MarginRecord(j=lo + 1 + i, g=name, margin=mean[i], se=se[i],

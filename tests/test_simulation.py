@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 
-from hrbounds import event_a_n, event_max_ratio, sequences
+from hrbounds import event_a_n, event_max_ratio, sequences, simulation
 from hrbounds.bounds import analytic_moment_profile, bound_theorem1
 from hrbounds.distributions import RandomSequenceSpec, SeedSpec, sample_iid
 from hrbounds.errors import (
@@ -624,6 +624,20 @@ def test_demi_margins_equal_the_per_pair_loop_bit_for_bit(case):
     for g_rec, w_rec in zip(got, want):
         np.testing.assert_array_equal(np.array(g_rec[2:4]).view(np.uint64),
                                       np.array(w_rec[2:4]).view(np.uint64))
+
+
+@pytest.mark.parametrize("slab", [1, 3])
+def test_demi_margins_of_many_slabs_equal_the_per_pair_loop_bit_for_bit(monkeypatch, slab):
+    """Slabs of 1 and 3 steps, the last one partial, as a long check is reduced."""
+    monkeypatch.setattr(simulation, "_DEMI_SLAB", slab * 1200)
+    batch = TrajectoryBatch.generate(gaussian(12), 1200, master_seed=4)
+    rep = demi_check(batch, "S")
+    c, want = _demi_reference(batch, "S", DEFAULT_DEMI_FAMILY, 0.99, None)
+    got = [(r.j, r.g, r.margin, r.se, r.flagged, r.negative_products) for r in rep.records]
+    assert rep.clip_constant == c
+    assert np.array([g[2:4] for g in got]).view(np.uint64).tolist() == \
+        np.array([w[2:4] for w in want]).view(np.uint64).tolist()
+    assert [g[:2] + g[4:] for g in got] == [w[:2] + w[4:] for w in want]
 
 
 def test_demi_check_on_s_leaves_the_one_sided_walks_unbuilt(monkeypatch):
