@@ -53,7 +53,7 @@ _DEMI_MAX_ENTRIES = 2 ** 25
 # Entries in each of the demi margins' four work arrays (512 KB each): a
 # check of at most this many entries is reduced in one slab of steps, and a
 # longer one pays numpy's per-call cost once a slab, not once a step.  The
-# arrays are made once a call, so glibc reuses their pages between calls.
+# arrays are made once a call, not once a slab.
 _DEMI_SLAB = 2 ** 16
 
 
